@@ -29,9 +29,9 @@ print("charges before:", fv.charges, "sum", fv.charges.sum())
 print("charges after: ", out.charges, "sum", out.charges.sum())
 
 rep = fl.rotation_independence_test(16, rot, 10_000, seed=2)
-print(f"independence of the rotated pair: max cross-covariance z-score "
-      f"{rep.max_cross_z:.2f}; marginal vs inverse-Laplacian "
-      f"{rep.max_marginal_dev_stderr:.2f} stderr units")
+print(f"independence of the rotated pair, as family-wise z-scores: "
+      f"cross-covariance {rep.max_cross_z:.2f}; marginal vs inverse-Laplacian "
+      f"{rep.max_marginal_dev_stderr:.2f}")
 
 k4 = fl.Graph(n=4, edges=tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
 print("spanning trees of K4 (matrix-tree):", fl.spanning_tree_count(k4))

@@ -57,6 +57,24 @@ def test_grid_laplacian_l3():
     assert lap.shape == (1, 1) and lap[0, 0] == 4.0
 
 
+@pytest.mark.parametrize("L", [3, 4, 5, 8, 16])
+def test_spectral_kernel_covariance_is_inverse_laplacian(L):
+    k = (L - 2) ** 2
+    rows = fl._spectral_gff(L, np.eye(k))  # one row per unit coefficient
+    oracle = np.linalg.inv(fl.grid_dirichlet_laplacian(L))
+    assert np.max(np.abs(rows.T @ rows - oracle)) < 1e-12
+
+
+def test_sample_gff_draws_one_normal_per_site():
+    with pytest.raises(FieldsError):
+        fl.sample_gff(2, 1, 0)
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    fv = fl.sample_gff(6, 3, None, rng=rng)
+    ref.standard_normal((3, 16))
+    assert fv.values.shape == (3, 16)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_gff_single_vertex_variance(rng):
     fv = fl.sample_gff(3, 1, None, rng=rng)
     draws = np.array([
@@ -172,6 +190,36 @@ def test_rotation_independence_report():
     assert rep.max_cross_z < 5.0
     assert rep.max_marginal_dev_stderr < 6.0
     assert rep.charge_sum_drift < 1e-12
+
+
+ROT45 = np.array([[math.cos(math.pi / 4), -math.sin(math.pi / 4)],
+                  [math.sin(math.pi / 4), math.cos(math.pi / 4)]])
+
+
+def test_rotation_check_passes_at_every_seed():
+    # family-wise false-alarm rates 6.3e-5 (cross) and 5.7e-7 (marginal)
+    for seed in range(30):
+        rep = fl.rotation_independence_test(8, ROT45, 2000, seed)
+        assert rep.max_cross_z < 4.0 and rep.max_marginal_dev_stderr < 5.0, seed
+
+
+@pytest.mark.parametrize("A, failing", [
+    (np.eye(2), "max_cross_z"),
+    (ROT45, "max_marginal_dev_stderr"),
+])
+def test_rotation_check_catches_correlated_fields(monkeypatch, A, failing):
+    rho = 0.1
+    sample = fl.sample_gff_batch
+
+    def correlated(L, n, samples, rng):
+        draws = sample(L, n, samples, rng)
+        draws[:, 1] = rho * draws[:, 0] + math.sqrt(1 - rho**2) * draws[:, 1]
+        return draws
+
+    monkeypatch.setattr(fl, "sample_gff_batch", correlated)
+    rep = fl.rotation_independence_test(16, A, 10_000, seed=2)
+    threshold = {"max_cross_z": 4.0, "max_marginal_dev_stderr": 5.0}[failing]
+    assert getattr(rep, failing) >= threshold
 
 
 # --- matrix-tree --------------------------------------------------------------------
