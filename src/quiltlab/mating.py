@@ -11,9 +11,14 @@ Conventions and proxies, documented once:
 * the duration prior over total time is improper in the idealized model; we
   fix a configurable total duration (default 1.0) as a bounded proxy and
   treat the walk as a discrete bridge with ``steps`` increments.
-* endpoint pinning is exact (Gaussian bridge construction), so rejection
-  only enforces quadrant positivity; this replaces endpoint-ball rejection,
-  which is infeasible at these step counts, and is unbiased for the bridge.
+* the bridge is built one step at a time from the exact conditional law of
+  the next point given the current one and the pinned endpoint, so endpoint
+  pinning is exact and rejection only enforces quadrant positivity; a
+  proposal is dropped at its first grid point outside the closed quadrant,
+  which leaves the law of the accepted walk that of the bridge conditioned
+  on the quadrant.  This replaces endpoint-ball rejection, which is
+  infeasible at these step counts.  Seeded walks and quilts differ from
+  versions that drew every proposal in full; the law is the same.
 * infima are taken over grid points only; refinement error scales with the
   step size.
 """
@@ -90,15 +95,19 @@ class ConeWalk:
         return bool(self.L[sl].min() >= 0.0 and self.R[sl].min() >= 0.0)
 
 
-def _bridge_batch(p: MotParams, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
-    """Exact Gaussian bridges from start to end: shape (count, steps+1, 2)."""
-    n = p.steps
-    dt = p.duration / n
+def _step_chol(p: MotParams):
+    """Cholesky factor of the per-step increment covariance Sigma dt."""
+    dt = p.duration / p.steps
     cov = p.variance * dt * np.array(
         [[1.0, p.correlation], [p.correlation, 1.0]]
     )
-    chol = np.linalg.cholesky(cov)
-    incs = rng.standard_normal((count, n, 2)) @ chol.T
+    return np.linalg.cholesky(cov)
+
+
+def _bridge_batch(p: MotParams, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
+    """Exact Gaussian bridges from start to end: shape (count, steps+1, 2)."""
+    n = p.steps
+    incs = rng.standard_normal((count, n, 2)) @ _step_chol(p).T
     paths = np.zeros((count, n + 1, 2))
     paths[:, 1:, :] = np.cumsum(incs, axis=1)
     paths += np.asarray(start, dtype=float)
@@ -108,12 +117,56 @@ def _bridge_batch(p: MotParams, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
     return paths
 
 
+def _bridge_step(x, end, left, chol_t, rng):
+    """Exact conditional step of a bridge with ``left`` steps to go.
+
+    X_{k+1} | X_k, X_n = end ~ N(X_k + (end - X_k) / left,
+    Sigma dt (left - 1) / left), for rows of ``x``; ``chol_t`` is the
+    transposed Cholesky factor of Sigma dt.
+    """
+    z = rng.standard_normal(x.shape) @ chol_t
+    return x + (end - x) / left + math.sqrt((left - 1) / left) * z
+
+
+def _first_quadrant_bridge(p: MotParams, count, rng):
+    """(path, index) of the lowest-indexed of ``count`` bridge proposals that
+    stays in the closed quadrant, or (None, None) when none does.
+
+    The proposals are grown together one step at a time, and each is dropped
+    at its first grid point outside the quadrant.
+    """
+    n = p.steps
+    chol_t = _step_chol(p).T
+    start = np.array([0.0, 1.0])
+    end = np.zeros(2)
+    paths = np.empty((count, n + 1, 2))
+    paths[:, 0] = start
+    alive = np.arange(count)
+    x = np.tile(start, (count, 1))
+    for k in range(n - 1):
+        x = _bridge_step(x, end, n - k, chol_t, rng)
+        if x.min() < 0.0:
+            keep = x.min(axis=1) >= 0.0
+            alive, x = alive[keep], x[keep]
+            if not alive.size:
+                return None, None
+        paths[alive, k + 1] = x
+    i = int(alive[0])
+    path = paths[i]
+    path[n] = end
+    return path, i
+
+
 def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
                      batch=512) -> ConeWalk:
     """First quadrant-positive bridge from a rejection stream.
 
-    Raises RejectionBudgetExceeded after ``max_proposals`` attempts; the
-    number of rejected proposals is recorded on the walk.
+    Proposals come in batches of ``batch``, each grown step by step from the
+    exact conditional bridge step and dropped at its first exit from the
+    closed quadrant (see the module notes); the walk is the lowest-indexed
+    survivor.  Raises RejectionBudgetExceeded after ``max_proposals``
+    attempts; the number of proposals tried before the walk is recorded on
+    it as ``rejections``.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
@@ -121,15 +174,12 @@ def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
     tried = 0
     while tried < max_proposals:
         take = min(batch, max_proposals - tried)
-        paths = _bridge_batch(p, take, rng)
-        ok = (paths.min(axis=1) >= 0.0).all(axis=1)
-        hits = np.nonzero(ok)[0]
-        if hits.size:
-            i = int(hits[0])
+        path, i = _first_quadrant_bridge(p, take, rng)
+        if path is not None:
             return ConeWalk(
                 times=times,
-                L=paths[i, :, 0].copy(),
-                R=paths[i, :, 1].copy(),
+                L=path[:, 0].copy(),
+                R=path[:, 1].copy(),
                 rejections=tried + i,
             )
         tried += take
@@ -141,7 +191,11 @@ def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
 
 def sample_walk_proposals(p: MotParams, count, rng=None,
                           start=(0.0, 1.0), end=(0.0, 0.0)):
-    """Unconditioned bridges (for calibration and for rejected-walk tests)."""
+    """Unconditioned bridges, drawn in full by pinning a free walk's endpoint.
+
+    An independent construction of the bridge law that :func:`sample_cone_walk`
+    samples step by step (for calibration and for rejected-walk tests).
+    """
     if rng is None:
         rng = np.random.default_rng(p.seed)
     return _bridge_batch(p, count, rng, start=start, end=end)
@@ -261,37 +315,57 @@ def extract_cell_lengths(walk: ConeWalk, parts) -> CellLengths:
     return cell_lengths_at(walk, idx)
 
 
+def _cell_minima(walk: ConeWalk, cut_indices):
+    """(L, R, bounds, low_l, low_r): the cell bounds 0, cuts..., n and the
+    minima of L and R over each closed cell [bounds[i], bounds[i+1]]."""
+    L = np.asarray(walk.L, dtype=float)
+    R = np.asarray(walk.R, dtype=float)
+    bounds = np.concatenate(([0], np.asarray(cut_indices, dtype=int), [len(L) - 1]))
+    if (bounds[1:] <= bounds[:-1]).any():
+        raise PartitionMismatch("cut indices must be strictly increasing")
+    inner = bounds[1:-1]
+    low_l = np.minimum.reduceat(L, bounds[:-1])
+    low_l[:-1] = np.minimum(low_l[:-1], L[inner])
+    low_r = np.minimum.reduceat(R, bounds[:-1])
+    low_r[:-1] = np.minimum(low_r[:-1], R[inner])
+    return L, R, bounds, low_l, low_r
+
+
 def cell_lengths_at(walk: ConeWalk, cut_indices) -> CellLengths:
     """Cell lengths with the cuts at the given interior grid indices."""
-    L, R = walk.L, walk.R
-    n_grid = len(L) - 1
-    idx = [0] + [int(i) for i in cut_indices] + [n_grid]
-    if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-        raise PartitionMismatch("cut indices must be strictly increasing")
-    k1 = idx[1]
-    l0p = float(L[k1] - L[0])
-    r0m = float(R[0] - R[: k1 + 1].min())
-    r0p = float(R[k1] - R[: k1 + 1].min())
-    rows = []
-    for a, b in zip(idx[1:-2], idx[2:-1]):
-        lm = float(L[a] - L[a : b + 1].min())
-        lp = float(L[b] - L[a : b + 1].min())
-        rm = float(R[a] - R[a : b + 1].min())
-        rp = float(R[b] - R[a : b + 1].min())
-        rows.append((lm, lp, rm, rp))
-    klast = idx[-2]
-    interior = np.array(rows, dtype=float).reshape(len(rows), 4)
+    L, R, bounds, low_l, low_r = _cell_minima(walk, cut_indices)
+    a, b = bounds[1:-2], bounds[2:-1]
+    ml, mr = low_l[1:-1], low_r[1:-1]
+    interior = np.column_stack((L[a] - ml, L[b] - ml, R[a] - mr, R[b] - mr))
+    k1, klast = bounds[1], bounds[-2]
     return CellLengths(
-        l0_plus=l0p,
-        r0_minus=r0m,
-        r0_plus=r0p,
+        l0_plus=float(L[k1] - L[0]),
+        r0_minus=float(R[0] - low_r[0]),
+        r0_plus=float(R[k1] - low_r[0]),
         interior=interior,
         l_end_minus=float(L[klast] - L[-1]),
         r_end_minus=float(R[klast] - R[-1]),
-        first_l_deficit=float(L[0] - L[: k1 + 1].min()),
-        last_l_deficit=float(L[-1] - L[klast:].min()),
-        last_r_deficit=float(R[-1] - R[klast:].min()),
+        first_l_deficit=float(L[0] - low_l[0]),
+        last_l_deficit=float(L[-1] - low_l[-1]),
+        last_r_deficit=float(R[-1] - low_r[-1]),
     )
+
+
+def _has_zero_side(walk: ConeWalk, cut_indices):
+    """Whether a cell side that ``CellLengths.degenerate`` checks is <= 0.
+
+    The sides come from the same float operations as the fields of
+    :func:`cell_lengths_at`, so True here implies ``degenerate()`` there; a
+    cheap first screen of a partition before its cell lengths are built.
+    """
+    L, R, bounds, low_l, low_r = _cell_minima(walk, cut_indices)
+    a, b = bounds[:-1], bounds[1:]
+    sides = np.concatenate((
+        (R[a] - low_r)[:-1], (R[b] - low_r)[:-1],  # r-, r+ of all but the last cell
+        (L[a] - low_l)[1:-1], (L[b] - low_l)[1:-1],  # l-, l+ of the interior cells
+        (L[b[0]] - L[0], L[a[-1]] - L[-1], R[a[-1]] - R[-1]),  # l0+, l_end-, r_end-
+    ))
+    return bool(sides.min() <= 0.0)
 
 
 def build_quilt(cells: CellLengths):
@@ -311,14 +385,17 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
     """End-to-end pipeline: walk -> Poisson parts -> cell lengths -> quilt.
 
     Deterministic given (params, seed): all randomness flows from one
-    generator seeded by ``p.seed``.
+    generator seeded by ``p.seed``.  The provenance counts the walks drawn
+    for this quilt (``walks``, walks abandoned after 50 degenerate
+    partitions included), the proposals rejected before them and the
+    partitions redrawn.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
     resamples = 0
     rejections = 0
     cells = None
-    for _ in range(200):
+    for walks in range(1, 201):
         walk = sample_cone_walk(p, rng=rng)
         rejections += walk.rejections
         for _ in range(50):
@@ -327,10 +404,11 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
                 resamples += 1
                 continue
             idx, merged = _snap_parts_to_grid(walk, parts)
-            candidate = cell_lengths_at(walk, idx)
-            if not candidate.degenerate():
-                cells = candidate
-                break
+            if not _has_zero_side(walk, idx):
+                candidate = cell_lengths_at(walk, idx)
+                if not candidate.degenerate():
+                    cells = candidate
+                    break
             resamples += 1
         if cells is not None:
             break
@@ -344,6 +422,7 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
         "seed": p.seed,
         "duration": p.duration,
         "rejections": rejections,
+        "walks": walks,
         "poisson_parts": int(len(parts)),
         "partition_resamples": int(resamples),
         "snap_merges": int(merged),
@@ -369,9 +448,7 @@ def calibrate_covariance(p: MotParams, n_steps=10_000, rng=None) -> CovarianceRe
     if rng is None:
         rng = np.random.default_rng(p.seed)
     dt = p.duration / p.steps
-    cov = p.variance * dt * np.array([[1.0, p.correlation], [p.correlation, 1.0]])
-    chol = np.linalg.cholesky(cov)
-    incs = rng.standard_normal((n_steps, 2)) @ chol.T
+    incs = rng.standard_normal((n_steps, 2)) @ _step_chol(p).T
     emp = (incs.T @ incs) / n_steps
     var_target = p.variance * dt
     cov_target = p.correlation * p.variance * dt

@@ -69,15 +69,22 @@ class Template:
             raise TemplateError("hole ids out of range")
         if set(self.marks) != all_faces - set(self.holes):
             raise TemplateError("marks must cover exactly the non-hole faces")
+        positions = {}
         for f, mk in self.marks.items():
             if len(mk) < 1:
                 raise TemplateError(f"face {f} has no marked vertices")
-            self.mark_positions(f)  # raises if marks not in cycle order
+            positions[f] = self._find_mark_positions(f)
+        # not a field: eq and repr stay those of (map, marks, holes, face_order)
+        object.__setattr__(self, "_mark_positions", positions)
 
     # -- marks along the face cycle ------------------------------------------
 
     def mark_positions(self, f):
         """Positions of the marked vertices within the face dart cycle."""
+        return self._mark_positions[f]
+
+    def _find_mark_positions(self, f):
+        """Mark positions of face ``f``; raises if marks not in cycle order."""
         cyc = self.map.face_cycles[f]
         tails = [self.map.vertex_of[d] for d in cyc]
         mk = self.marks[f]
@@ -96,7 +103,7 @@ class Template:
             b = (pos[i] - pos[0]) % len(cyc)
             if not a < b:
                 raise TemplateError(f"marks of face {f} not in face-cycle order")
-        return pos
+        return tuple(pos)
 
     def k_gon(self, f):
         return len(self.marks[f])

@@ -125,6 +125,7 @@ def test_mating_simulate_deterministic(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
     payload = json.loads(p1.read_text())
     assert payload["provenance"]["seed"] == 7
+    assert payload["provenance"]["walks"] >= 1
     assert "template" in payload["quilt"]
 
 

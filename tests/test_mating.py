@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -12,6 +13,7 @@ from quiltlab.errors import (
     GammaOutOfRange,
     MatingError,
     PartitionMismatch,
+    RejectionBudgetExceeded,
 )
 
 
@@ -43,6 +45,85 @@ def test_walk_positivity_and_pinning(rng):
     assert walk.L.min() >= 0 and walk.R.min() >= 0
     assert walk.L[0] == 0.0 and walk.R[0] == 1.0
     assert abs(walk.L[-1]) < 1e-12 and abs(walk.R[-1]) < 1e-12
+
+
+# --- the bridge law: step-by-step sampler against the full-proposal oracle ----------
+
+LAW = mt.mot_params(math.sqrt(2), 0.2, 16, 0)
+LAW_WALKS = 4000
+LAW_ALPHA = 1e-3  # family-wise false-alarm rate over the three KS tests
+
+
+def _oracle_r_paths(rng):
+    """R paths of full-length bridge proposals kept by quadrant rejection."""
+    kept = []
+    while sum(map(len, kept)) < LAW_WALKS:
+        paths = mt.sample_walk_proposals(LAW, 20_000, rng=rng)
+        kept.append(paths[(paths.min(axis=1) >= 0.0).all(axis=1), :, 1])
+    return np.concatenate(kept)[:LAW_WALKS]
+
+
+def _law_pvalue(seed):
+    """Bonferroni p-value of two-sample KS on max R, R at the midpoint and R
+    at step 3, sample_cone_walk against the rejection oracle."""
+    oracle = _oracle_r_paths(np.random.default_rng([seed, 0]))
+    rng = np.random.default_rng([seed, 1])
+    walks = np.array([mt.sample_cone_walk(LAW, rng=rng).R for _ in range(LAW_WALKS)])
+    mid = LAW.steps // 2
+    pvalues = [
+        scipy.stats.ks_2samp(stat(oracle), stat(walks)).pvalue
+        for stat in (lambda r: r.max(axis=1), lambda r: r[:, mid], lambda r: r[:, 3])
+    ]
+    return min(1.0, 3 * min(pvalues))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cone_walk_law_matches_rejection_oracle(seed):
+    assert _law_pvalue(seed) > LAW_ALPHA
+
+
+def test_cone_walk_law_check_catches_dropped_variance_factor(monkeypatch):
+    def step_without_factor(x, end, left, chol_t, rng):
+        # the conditional step with its (left - 1) / left variance factor dropped
+        z = rng.standard_normal(x.shape) @ chol_t
+        return x + (end - x) / left + z
+
+    monkeypatch.setattr(mt, "_bridge_step", step_without_factor)
+    assert _law_pvalue(0) < LAW_ALPHA
+
+
+def test_cone_walk_budget_smaller_than_batch(monkeypatch):
+    p = mt.mot_params(math.sqrt(2), 0.15, 256, 0)
+    sizes = []
+    grow = mt._first_quadrant_bridge
+
+    def counted(p, count, rng):
+        sizes.append(count)
+        return grow(p, count, rng)
+
+    monkeypatch.setattr(mt, "_first_quadrant_bridge", counted)
+    with pytest.raises(RejectionBudgetExceeded):
+        mt.sample_cone_walk(p, rng=np.random.default_rng(0), max_proposals=1, batch=512)
+    assert sizes == [1]
+
+
+def test_cone_walk_first_survivor_and_rejections(monkeypatch):
+    # rejections counts the proposals tried before the returned walk
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 4)
+    hits = []
+    grow = mt._first_quadrant_bridge
+
+    def recorded(p, count, rng):
+        path, i = grow(p, count, rng)
+        hits.append((count, i))
+        return path, i
+
+    monkeypatch.setattr(mt, "_first_quadrant_bridge", recorded)
+    walk = mt.sample_cone_walk(p, rng=np.random.default_rng(4), batch=16)
+    *missed, (count, i) = hits
+    assert missed and all(j is None for _, j in missed) and i is not None
+    assert walk.rejections == sum(c for c, _ in missed) + i
+    assert walk.in_quadrant() and walk.L[-1] == 0.0 and walk.R[-1] == 0.0
 
 
 def test_covariance_calibration():
@@ -141,6 +222,73 @@ def test_cone_containment_iff_sn2(rng):
     assert checked_in > 0 and checked_out > 100
 
 
+def _slice_cell_lengths(walk, cut_indices):
+    """Reference cell lengths: one slice per cell."""
+    L, R = walk.L, walk.R
+    idx = [0] + [int(i) for i in cut_indices] + [len(L) - 1]
+    k1, klast = idx[1], idx[-2]
+    rows = []
+    for a, b in zip(idx[1:-2], idx[2:-1]):
+        low_l, low_r = L[a : b + 1].min(), R[a : b + 1].min()
+        rows.append((float(L[a] - low_l), float(L[b] - low_l),
+                     float(R[a] - low_r), float(R[b] - low_r)))
+    return mt.CellLengths(
+        l0_plus=float(L[k1] - L[0]),
+        r0_minus=float(R[0] - R[: k1 + 1].min()),
+        r0_plus=float(R[k1] - R[: k1 + 1].min()),
+        interior=np.array(rows, dtype=float).reshape(len(rows), 4),
+        l_end_minus=float(L[klast] - L[-1]),
+        r_end_minus=float(R[klast] - R[-1]),
+        first_l_deficit=float(L[0] - L[: k1 + 1].min()),
+        last_l_deficit=float(L[-1] - L[klast:].min()),
+        last_r_deficit=float(R[-1] - R[klast:].min()),
+    )
+
+
+def test_cell_lengths_equal_slice_oracle(rng):
+    cases = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 80))
+        p = mt.mot_params(float(rng.uniform(0.2, 1.9)), 0.2, n, 0)
+        path = mt.sample_walk_proposals(p, 1, rng=rng)[0]
+        walk = mt.ConeWalk(times=np.linspace(0, 1, n + 1), L=path[:, 0], R=path[:, 1])
+        inner = np.arange(1, n)
+        size = int(rng.integers(1, n))
+        cut_sets = [np.sort(rng.choice(inner, size=size, replace=False)),
+                    [1], [n - 1], inner, inner[:2], inner[-2:]]
+        for cuts in cut_sets:
+            got, want = mt.cell_lengths_at(walk, cuts), _slice_cell_lengths(walk, cuts)
+            for f in dataclasses.fields(mt.CellLengths):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "interior":
+                    assert a.shape == b.shape and np.array_equal(a, b)
+                else:
+                    assert a == b, f.name
+            cases += 1
+    assert cases == 1800
+
+
+@pytest.mark.parametrize(
+    "gamma,steps", [(0.5, 6), (1.0, 16), (math.sqrt(2), 64), (1.8, 128)])
+def test_zero_side_screen_only_rejects_degenerate(gamma, steps):
+    p = mt.mot_params(gamma, 0.25, steps, 13)
+    rng = np.random.default_rng(13)
+    screened = passed = 0
+    for _ in range(20):
+        walk = mt.sample_cone_walk(p, rng=rng)
+        for _ in range(40):
+            parts = mt.poisson_partition(walk.duration, p.epsilon, rng=rng)
+            if len(parts) < 2:
+                continue
+            idx, _ = mt._snap_parts_to_grid(walk, parts)
+            if mt._has_zero_side(walk, idx):
+                assert mt.cell_lengths_at(walk, idx).degenerate()
+                screened += 1
+            else:
+                passed += 1
+    assert screened > 0 and passed > 0
+
+
 def test_build_quilt_minimal_reproduces_lengths():
     times = np.linspace(0, 1, 5)
     L = np.array([0.0, 0.4, 0.3, 0.5, 0.0])
@@ -219,3 +367,21 @@ def test_json_provenance_round_trip():
     blob = json.dumps(res.provenance, sort_keys=True)
     assert json.loads(blob) == res.provenance
     assert res.provenance["seed"] == 21
+
+
+def test_provenance_counts_walks(monkeypatch):
+    # walks abandoned after 50 degenerate partitions count too
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 5)
+    calls = []
+    draw = mt.sample_cone_walk
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(mt, "sample_cone_walk", counted)
+    rng = np.random.default_rng(5)
+    total = 0
+    for _ in range(40):
+        total += mt.simulate_discretized_disk(p, rng=rng).provenance["walks"]
+    assert total == len(calls) > 40

@@ -142,6 +142,23 @@ def test_singular_map_raised_on_tampered_marks():
         qt.side_length_map_determinant(bad)
 
 
+def test_mark_positions_kept_from_validation(chain3):
+    rebuilt = qt.Template(map=chain3.map, marks=dict(chain3.marks),
+                          holes=chain3.holes, face_order=chain3.face_order)
+    assert rebuilt == chain3 and repr(rebuilt) == repr(chain3)
+    assert "_mark_positions" not in repr(chain3)
+    for f in chain3.marks:
+        pos = chain3.mark_positions(f)
+        assert pos is chain3.mark_positions(f)
+        tails = [chain3.map.vertex_of[chain3.map.face_cycles[f][i]] for i in pos]
+        assert tails == list(chain3.marks[f])
+    f1 = chain3.face_order[2]  # a 4-gon: marks a, b, c, d in cycle order
+    a, b, c, d = chain3.marks[f1]
+    with pytest.raises(TemplateError, match="not in face-cycle order"):
+        qt.Template(map=chain3.map, marks={**chain3.marks, f1: (a, c, b, d)},
+                    holes=chain3.holes, face_order=chain3.face_order)
+
+
 # --- subtemplates -------------------------------------------------------------------
 
 
