@@ -227,12 +227,13 @@ CHECKS = (
 )
 
 
-def run_verify_all(seed=0, budget=None, inject_fault=None):
+def run_verify_all(seed=0, budget=None, inject_fault=None, timings=None):
     """Run every check within the time budget; returns the report dict.
 
     ``budget`` (seconds) of 0 skips everything; a positive budget stops
     scheduling further checks once exceeded (skipped checks are reported as
-    such).  The report contains no wall-clock data.
+    such).  The report contains no wall-clock data: a dict passed as
+    ``timings`` receives the seconds of each check that ran instead.
     """
     checks = []
     start = time.monotonic()
@@ -242,10 +243,13 @@ def run_verify_all(seed=0, budget=None, inject_fault=None):
         ):
             checks.append({"name": name, "status": "skipped", "details": {}})
             continue
+        t0 = time.perf_counter()
         try:
             ok, details = func(seed, faulty=(inject_fault == name))
         except Exception as exc:  # a crashed check is a failed check
             ok, details = False, {"exception": f"{type(exc).__name__}: {exc}"}
+        if timings is not None:
+            timings[name] = time.perf_counter() - t0
         checks.append(
             {"name": name, "status": "pass" if ok else "fail", "details": details}
         )

@@ -184,6 +184,7 @@ def cmd_quilt_verify_bijection(args):
         "injective": report.injective,
         "surjective": report.surjective,
         "composed_checked": report.composed_checked,
+        "search": report.search,
     })
     return EXIT_OK
 
@@ -307,10 +308,15 @@ def cmd_fields_partition_identity(args):
 
 
 def cmd_verify_all(args):
+    timings = {} if args.timings else None
     report = run_verify_all(
-        seed=args.seed, budget=args.budget, inject_fault=args.inject_fault
+        seed=args.seed, budget=args.budget, inject_fault=args.inject_fault,
+        timings=timings,
     )
     _emit(args, report)
+    if args.timings:
+        with open(args.timings, "w") as fh:
+            fh.write(json.dumps(timings, sort_keys=True, indent=2) + "\n")
     failures = [c for c in report["checks"] if c["status"] == "fail"]
     for c in report["checks"]:
         print(f"[{c['status'].upper():>5}] {c['name']}", file=sys.stderr)
@@ -418,6 +424,8 @@ def build_parser():
                    help="time budget in seconds (0 skips everything)")
     p.add_argument("--inject-fault", default=None,
                    help="test hook: corrupt a named check (e.g. 'determinant')")
+    p.add_argument("--timings", default=None, metavar="FILE",
+                   help="write the seconds of each check that ran to FILE as JSON")
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_verify_all)
     return parser

@@ -13,6 +13,16 @@ matching (the near sides of a marked 4-gon must collapse to the side
 profile of an unused subtemplate 4-gon), and a closing profile check for
 the 2-gon.  All prunes are sound: they never reject a sequence that could
 reduce to the target subtemplate.
+
+Each search node reads the tags behind its two frontier arcs once and
+builds their collapsed prefix profiles in one pass per arc (a left profile
+is a reversed prefix, and collapsing commutes with reversal); a left
+prefix is tested against the unused 4-gon profiles before it is paired
+with any right prefix, and no profile is built once every marked 4-gon is
+placed.  A child that can place no further face is only ever closed, so its
+2-gon check runs on the parent's tags, before any clone or ``add_face``.
+The search counts its nodes, the children that check cuts, its leaves and
+the reject reason of every leaf that is not a filling (``counters``).
 """
 
 from __future__ import annotations
@@ -98,10 +108,10 @@ def _tsub_profiles(tsub: MarkedSubtemplate):
     return four, two
 
 
-def _frontier_profile(builder: Builder, arc, count, tags):
-    """Collapsed tags of the first ``count`` frontier edges of ``arc``."""
+def _frontier_tags(builder: Builder, arc, tags):
+    """Raw tag of the explored face behind each frontier edge of ``arc``."""
     out = []
-    for eid, _, _ in arc[:count]:
+    for eid, _, _ in arc:
         f = builder.edge_face[eid]
         if f == EXT:
             out.append("M1")
@@ -114,109 +124,187 @@ def _frontier_profile(builder: Builder, arc, count, tags):
     return out
 
 
+def _prefix_profiles(raw):
+    """``_collapse(raw[:n])`` for n = 1 .. len(raw), in one pass."""
+    out = []
+    cur = ()
+    for tag in raw:
+        if not (tag == "H" and cur and cur[-1] == "H"):
+            cur = cur + (tag,)
+        out.append(cur)
+    return out
+
+
 # --- the search -----------------------------------------------------------------------
 
 
-def enumerate_fillings(tsub: MarkedSubtemplate, n_max):
-    """All fillings of the subtemplate, per-hole budgets ``n_max``.
+REJECT_REASONS = ("reduction_failed", "key_mismatch", "hole_unmatched", "over_budget")
 
-    Output is duplicate-free (construction sequences biject with ordered
-    templates) and sorted by canonical key; every result passes
-    validate_template and reduces back to the subtemplate.
-    """
-    budgets = _normalize_budgets(tsub, n_max)
-    b = tsub.n_holes
+
+class _Search:
+    """One enumeration: the target, the tag stack, the results, the counters."""
+
+    def __init__(self, tsub: MarkedSubtemplate, budgets):
+        t = tsub.template
+        self.tsub = tsub
+        self.budgets = budgets
+        self.b = tsub.n_holes
+        self.n4 = sum(1 for f in t.marks if t.k_gon(f) == 4)
+        self.four_profiles, two = _tsub_profiles(tsub)
+        # the 2-gon's near sides as frontier tags read from the terminal
+        # (None: no remainder can close)
+        self.close_left, self.close_right = (two[0][::-1], two[1]) if two else (None, None)
+        self.tsub_key = template_key(t)
+        self.total_budget = sum(budgets)
+        self.tags = []  # "M"/"U" per added 4-gon, in construction order
+        self.results = []
+        self.seen = set()
+        self.counters = {
+            "nodes": 0,
+            "closing_cuts": 0,
+            "leaves": 0,
+            "rejects": dict.fromkeys(REJECT_REASONS, 0),
+        }
+
+    def reject(self, reason):
+        self.counters["rejects"][reason] += 1
+
+
+def _finish(search: _Search, builder: Builder):
+    """Close ``builder`` (consumed) and keep the template if it is a filling."""
+    search.counters["leaves"] += 1
+    tsub = search.tsub
     t = tsub.template
-    n4 = sum(1 for f in t.marks if t.k_gon(f) == 4)
-    four_profiles, two_profile = _tsub_profiles(tsub)
-    tsub_key = template_key(t)
-    total_budget = sum(budgets)
+    builder.close()
+    template, seq_to_face, _ = builder.build()
+    report = validate_template(template)
+    if not report.passed:
+        raise TemplateError(f"search produced an invalid template: {report.failures()}")
+    marked = {seq_to_face[EXT], seq_to_face[0], seq_to_face[len(builder.cycles) - 1]}
+    for i, tag in enumerate(search.tags):
+        if tag == "M":
+            marked.add(seq_to_face[i + 1])
+    marked = frozenset(marked)
+    try:
+        red = mark_subtemplate(template, marked)
+    except TemplateError:
+        search.reject("reduction_failed")
+        return
+    if template_key(red.template) != search.tsub_key:
+        search.reject("key_mismatch")
+        return
+    iso = template_iso(red.template, t)
+    # hole labels of the reduction, matched to the subtemplate's labels
+    clusters = [None] * search.b
+    for pos, hole_face in enumerate(red.hole_labels):
+        d = red.template.map.face_cycles[hole_face][0]
+        target_face = t.map.face_of[iso[d]]
+        target_pos = tsub.hole_labels.index(target_face)
+        clusters[target_pos] = red.cluster_faces[pos]
+    if any(c is None for c in clusters):
+        search.reject("hole_unmatched")
+        return
+    if any(len(c) > search.budgets[i] for i, c in enumerate(clusters)):
+        search.reject("over_budget")
+        return
+    key = template_key(template, marked=marked)
+    if key in search.seen:
+        raise TemplateError("duplicate filling found; construction not unique")
+    search.seen.add(key)
+    search.results.append(
+        Filling(template=template, marked=marked, clusters=tuple(clusters), key=key)
+    )
 
-    results = []
-    seen = set()
 
-    def close_profile_ok(builder):
-        left = _frontier_profile(builder, builder.left, len(builder.left), tags)
-        right = _frontier_profile(builder, builder.right, len(builder.right), tags)
-        lpat = _collapse(list(reversed(left)))
-        rpat = _collapse(right)
-        return (lpat, rpat) == two_profile
-
-    def finish(builder):
-        builder = builder.clone()
-        builder.close()
-        template, seq_to_face, _ = builder.build()
-        report = validate_template(template)
-        if not report.passed:
-            raise TemplateError(f"search produced an invalid template: {report.failures()}")
-        marked = {seq_to_face[EXT], seq_to_face[0], seq_to_face[len(builder.cycles) - 1]}
-        for i, tag in enumerate(tags):
-            if tag == "M":
-                marked.add(seq_to_face[i + 1])
-        marked = frozenset(marked)
-        try:
-            red = mark_subtemplate(template, marked)
-        except TemplateError:
-            return
-        if template_key(red.template) != tsub_key:
-            return
-        iso = template_iso(red.template, t)
-        # hole labels of the reduction, matched to the subtemplate's labels
-        clusters = [None] * b
-        for pos, hole_face in enumerate(red.hole_labels):
-            d = red.template.map.face_cycles[hole_face][0]
-            target_face = t.map.face_of[iso[d]]
-            target_pos = tsub.hole_labels.index(target_face)
-            clusters[target_pos] = red.cluster_faces[pos]
-        if any(c is None for c in clusters):
-            return
-        if any(len(c) > budgets[i] for i, c in enumerate(clusters)):
-            return
-        key = template_key(template, marked=marked)
-        if key in seen:
-            raise TemplateError("duplicate filling found; construction not unique")
-        seen.add(key)
-        results.append(
-            Filling(template=template, marked=marked, clusters=tuple(clusters), key=key)
-        )
-
-    tags = []
-
-    def search(builder, marked_used, unmarked_used, available):
-        if marked_used == n4 and unmarked_used >= b and close_profile_ok(builder):
-            finish(builder)
-        for t_i in range(1, len(builder.left) + 1):
-            for s_i in range(1, len(builder.right) + 1):
-                lraw = _frontier_profile(builder, builder.left, t_i, tags)
-                rraw = _frontier_profile(builder, builder.right, s_i, tags)
-                prof = (_collapse(list(reversed(lraw))), _collapse(rraw))
-                if unmarked_used < total_budget:
-                    child = builder.clone()
-                    child.add_face(t=t_i, s=s_i)
-                    tags.append("U")
-                    search(child, marked_used, unmarked_used + 1, available)
-                    tags.pop()
-                if marked_used < n4 and prof in available:
-                    child = builder.clone()
-                    child.add_face(t=t_i, s=s_i)
-                    tags.append("M")
+def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, available):
+    """Finish ``builder`` if it closes, then branch on every (t, s, tag)."""
+    search.counters["nodes"] += 1
+    left_raw = _frontier_tags(builder, builder.left, search.tags)
+    right_raw = _frontier_tags(builder, builder.right, search.tags)
+    if (marked_used == search.n4 and unmarked_used >= search.b
+            and _collapse(left_raw) == search.close_left
+            and _collapse(right_raw) == search.close_right):
+        _finish(search, builder.clone())
+    if unmarked_used < search.total_budget:
+        splits = [(t_i, s_i) for t_i in range(1, len(left_raw) + 1)
+                  for s_i in range(1, len(right_raw) + 1)]
+        _branch(search, builder, "U", splits, left_raw, right_raw,
+                marked_used, unmarked_used + 1, available)
+    if marked_used < search.n4:
+        # a marked 4-gon's near sides must match an unused subtemplate
+        # 4-gon: each left prefix is tested before any right one
+        left_wanted = {lp for lp, _ in available}
+        right_profiles = _prefix_profiles(right_raw)
+        for t_i, lp in enumerate(_prefix_profiles(left_raw), 1):
+            lp = lp[::-1]
+            if lp not in left_wanted:
+                continue
+            for s_i, rp in enumerate(right_profiles, 1):
+                prof = (lp, rp)
+                if prof in available:
                     next_av = available.copy()
                     next_av[prof] -= 1
                     if not next_av[prof]:
                         del next_av[prof]
-                    search(child, marked_used + 1, unmarked_used, next_av)
-                    tags.pop()
+                    _branch(search, builder, "M", [(t_i, s_i)], left_raw, right_raw,
+                            marked_used + 1, unmarked_used, next_av)
 
+
+def _branch(search: _Search, builder: Builder, tag, splits, left_raw, right_raw,
+            marked_used, unmarked_used, available):
+    """Add a ``tag`` 4-gon at each (t, s) of ``splits`` and search below it.
+
+    A child that can place no further face is only ever closed.  Its
+    frontier tags are the new face's tag followed by the parent's from the
+    split edge on, so its closing check runs on the parent's tags, one side
+    at a time; only children that pass are cloned and built.
+    """
+    terminal = marked_used == search.n4 and unmarked_used == search.total_budget
+    if terminal:
+        new = ["M4" if tag == "M" else "H"]
+        closable = unmarked_used >= search.b
+        left_ok = {t_i for t_i in range(1, len(left_raw) + 1) if closable
+                   and _collapse(new + left_raw[t_i - 1:]) == search.close_left}
+        right_ok = {s_i for s_i in range(1, len(right_raw) + 1) if closable
+                    and _collapse(new + right_raw[s_i - 1:]) == search.close_right}
+        kept = [(t_i, s_i) for t_i, s_i in splits if t_i in left_ok and s_i in right_ok]
+        search.counters["closing_cuts"] += len(splits) - len(kept)
+        splits = kept
+    for t_i, s_i in splits:
+        child = builder.clone()
+        child.add_face(t=t_i, s=s_i)
+        search.tags.append(tag)
+        if terminal:
+            _finish(search, child)
+        else:
+            _expand(search, child, marked_used, unmarked_used, available)
+        search.tags.pop()
+
+
+def enumerate_fillings(tsub: MarkedSubtemplate, n_max, counters=None):
+    """All fillings of the subtemplate, per-hole budgets ``n_max``.
+
+    Output is duplicate-free (construction sequences biject with ordered
+    templates) and sorted by canonical key; every result passes
+    validate_template and reduces back to the subtemplate.  A dict passed
+    as ``counters`` receives the search counters: ``nodes`` expanded,
+    terminal children cut by the ``closing_cuts`` check, ``leaves`` closed
+    and reduced, and ``rejects`` per reason (REJECT_REASONS); every leaf is
+    a filling or one reject.
+    """
+    search = _Search(tsub, _normalize_budgets(tsub, n_max))
     available = {}
-    for prof in four_profiles:
+    for prof in search.four_profiles:
         available[prof] = available.get(prof, 0) + 1
-    search(Builder(), 0, 0, available)
-    if not results:
+    _expand(search, Builder(), 0, 0, available)
+    if counters is not None:
+        counters.update(search.counters)
+    if not search.results:
         raise BudgetExhausted(
-            f"no filling of the subtemplate within budgets {budgets}"
+            f"no filling of the subtemplate within budgets {search.budgets}"
         )
-    results.sort(key=lambda f: f.key)
-    return results
+    search.results.sort(key=lambda f: f.key)
+    return search.results
 
 
 # --- projections and the product bijection ---------------------------------------------
@@ -235,6 +323,7 @@ class BijectionReport:
     injective: bool
     surjective: bool
     composed_checked: int
+    search: dict = None  # enumerate_fillings counters, when enumerated here
 
     @property
     def product(self):
@@ -254,12 +343,15 @@ def verify_product_bijection(tsub: MarkedSubtemplate, n_max, constructive=True,
     With ``constructive=True`` every factor combination is also glued back
     together (compose_fillings) and checked to be a filling with the right
     projections, which exhibits surjectivity directly rather than by
-    counting.  Raises BijectionViolation on failure.
+    counting.  Raises BijectionViolation on failure.  The report carries
+    the search counters when the fillings are enumerated here.
     """
     budgets = _normalize_budgets(tsub, n_max)
     b = tsub.n_holes
+    search = None
     if fillings is None:
-        fillings = enumerate_fillings(tsub, budgets)
+        search = {}
+        fillings = enumerate_fillings(tsub, budgets, counters=search)
     if not fillings:
         raise BijectionViolation("no fillings within budget")
 
@@ -316,6 +408,7 @@ def verify_product_bijection(tsub: MarkedSubtemplate, n_max, constructive=True,
         injective=True,
         surjective=True,
         composed_checked=composed,
+        search=search,
     )
 
 

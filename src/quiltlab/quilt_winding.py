@@ -61,28 +61,31 @@ def _ccw_bisector(a1, a2):
     return np.array([math.cos(mid), math.sin(mid)])
 
 
-def _seg_seg_distance(p1, p2, q1, q2):
-    """Euclidean distance between two closed segments."""
+def _seg_seg_distances(p1, p2, q1, q2):
+    """Euclidean distances between closed segments p1p2 and q1q2, row by row."""
+
+    def cross(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
     def point_seg(p, a, b):
         ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0 else float((p - a) @ ab) / denom
-        t = min(max(t, 0.0), 1.0)
-        return float(np.linalg.norm(p - (a + t * ab)))
+        denom = (ab * ab).sum(axis=1)
+        t = np.divide(((p - a) * ab).sum(axis=1), denom,
+                      out=np.zeros_like(denom), where=denom != 0)
+        t = np.clip(t, 0.0, 1.0)
+        return np.linalg.norm(p - (a + t[:, None] * ab), axis=1)
 
-    d1 = (p2 - p1, q1 - p1, q2 - p1)
-    cross1 = d1[0][0] * d1[1][1] - d1[0][1] * d1[1][0]
-    cross2 = d1[0][0] * d1[2][1] - d1[0][1] * d1[2][0]
-    d2 = (q2 - q1, p1 - q1, p2 - q1)
-    cross3 = d2[0][0] * d2[1][1] - d2[0][1] * d2[1][0]
-    cross4 = d2[0][0] * d2[2][1] - d2[0][1] * d2[2][0]
-    if ((cross1 > 0) != (cross2 > 0)) and ((cross3 > 0) != (cross4 > 0)):
-        return 0.0
-    return min(
-        point_seg(q1, p1, p2), point_seg(q2, p1, p2),
-        point_seg(p1, q1, q2), point_seg(p2, q1, q2),
+    dp = p2 - p1
+    dq = q2 - q1
+    crossing = (
+        ((cross(dp, q1 - p1) > 0) != (cross(dp, q2 - p1) > 0))
+        & ((cross(dq, p1 - q1) > 0) != (cross(dq, p2 - q1) > 0))
     )
+    near = np.minimum(
+        np.minimum(point_seg(q1, p1, p2), point_seg(q2, p1, p2)),
+        np.minimum(point_seg(p1, q1, q2), point_seg(p2, q1, q2)),
+    )
+    return np.where(crossing, 0.0, near)
 
 
 def _geometric_embed(t: Template, pinned):
@@ -143,9 +146,11 @@ def _geometric_embed(t: Template, pinned):
     pts = np.array([pos[k] for k in vs])
     if not np.all(np.isfinite(pts)):
         raise EmbeddingDegenerate("non-finite position")
-    for k1, k2 in itertools.combinations(vs, 2):
-        if np.linalg.norm(pos[k1] - pos[k2]) < 1e-9:
-            raise EmbeddingDegenerate(f"nodes {k1} and {k2} coincide")
+    i, j = np.triu_indices(len(vs), 1)  # pairs in itertools.combinations order
+    coincide = np.flatnonzero(np.linalg.norm(pts[i] - pts[j], axis=1) < 1e-9)
+    if coincide.size:
+        k = coincide[0]
+        raise EmbeddingDegenerate(f"nodes {vs[i[k]]} and {vs[j[k]]} coincide")
     return pos
 
 
@@ -226,16 +231,16 @@ class GeomEmbedding:
         Minimum of the shortest boundary segment and the closest approach
         between non-adjacent boundary segments.
         """
-        pts = self.boundary_points(face)
+        pts = np.array(self.boundary_points(face))
         k = len(pts)
-        segs = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
-        feat = min(np.linalg.norm(b - a) for a, b in segs)
-        for i in range(k):
-            for j in range(i + 2, k):
-                if i == 0 and j == k - 1:
-                    continue
-                d = _seg_seg_distance(*segs[i], *segs[j])
-                feat = min(feat, d)
+        ends = np.roll(pts, -1, axis=0)  # segment i runs pts[i] -> pts[i + 1]
+        i, j = np.triu_indices(k, 2)
+        keep = ~((i == 0) & (j == k - 1))  # the last segment meets the first
+        i, j = i[keep], j[keep]
+        feat = float(min(
+            np.linalg.norm(ends - pts, axis=1).min(),
+            _seg_seg_distances(pts[i], ends[i], pts[j], ends[j]).min(initial=np.inf),
+        ))
         if feat <= 0:
             raise EmbeddingDegenerate(f"face {face} has zero clearance")
         return feat

@@ -99,6 +99,8 @@ def test_quilt_verify_bijection(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["fillings"] == 50
     assert payload["factor_sizes"] == [10, 5]
+    search = payload["search"]
+    assert search["leaves"] == 50 + sum(search["rejects"].values())
 
 
 def test_quilt_winding_labels(tmp_path, capsys):
@@ -183,6 +185,22 @@ def test_verify_all_budget_zero(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert all(c["status"] == "skipped" for c in payload["checks"])
+
+
+def test_verify_all_timings_sidecar(tmp_path, capsys, monkeypatch):
+    from quiltlab import _verify
+
+    quick = ("meander-counts", "meander-factorization", "product-bijection")
+    monkeypatch.setattr(
+        _verify, "CHECKS", tuple(c for c in _verify.CHECKS if c[0] in quick))
+    plain, timed, sidecar = (tmp_path / n for n in ("a.json", "b.json", "t.json"))
+    assert run(["verify-all", "--out", str(plain)], capsys)[0] == 0
+    assert run(["verify-all", "--out", str(timed), "--timings", str(sidecar)],
+               capsys)[0] == 0
+    assert timed.read_bytes() == plain.read_bytes()
+    timings = json.loads(sidecar.read_text())
+    assert sorted(timings) == sorted(quick)
+    assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
 def test_verify_all_fault_injection(tmp_path, capsys):

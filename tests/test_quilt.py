@@ -1,8 +1,14 @@
+import gc
+import hashlib
 import itertools
 import math
 import random
+import weakref
 
+import numpy as np
 import pytest
+
+from quiltlab import curvature as cv
 
 from quiltlab import quilt as qt
 from quiltlab import quilt_enum as qe
@@ -249,6 +255,55 @@ def test_product_law_wide_fixture(wide_sub):
     assert rep.n_fillings == rep.factor_sizes[0] * rep.factor_sizes[1]
 
 
+# (moves, unmarked positions, budgets, count, sha256 of the joined keys),
+# measured on the search that rebuilt every frontier profile per (t, s)
+FILLING_DIGESTS = {
+    "chain": ([(1, 1)] * 3, (2, 4), (2, 2), 50,
+              "4ea961b7636661cf23d3228918d97a0ab8d8d6bd4d2cd0b51aadc28c6329548f"),
+    "wide": ([(1, 2)] * 3, (2, 4), (2, 2), 70,
+             "b1cfa659b4bc69e525709935435b5324ecac7c5a381ee130116e123d49771a3b"),
+    "two-pass": ([(1, 1)] * 3 + [(1, 2), (1, 3)], (2, 4, 6), (2, 2), 14,
+                 "37052e543a9b7baf90852250b58fae8c3e466cc8ce30dbd926a07bcd6dec6ec2"),
+    "chain-4-1": ([(1, 1)] * 3, (2, 4), (4, 1), 875,
+                  "6ce4bcda5fc8d0f968f0af3590d4113d271fd682288c0bc4de67ab27649bf98c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILLING_DIGESTS))
+def test_fillings_byte_identical(name):
+    moves, holes, budgets, count, digest = FILLING_DIGESTS[name]
+    fills = qe.enumerate_fillings(build_subtemplate(moves, holes), budgets)
+    assert len(fills) == count
+    assert hashlib.sha256(b"".join(f.key for f in fills)).hexdigest() == digest
+
+
+def test_search_counters_account_for_every_leaf(chain3_sub):
+    rep = qe.verify_product_bijection(chain3_sub, (2, 2), constructive=False)
+    search = rep.search
+    assert set(search["rejects"]) == set(qe.REJECT_REASONS)
+    assert search["leaves"] == rep.n_fillings + sum(search["rejects"].values())
+    assert search["nodes"] > 0 and search["closing_cuts"] > 0
+    again = qe.verify_product_bijection(chain3_sub, (2, 2), constructive=False)
+    assert again.search == search
+    counters = {}
+    fills = qe.enumerate_fillings(chain3_sub, (2, 2), counters=counters)
+    assert counters == search
+    given = qe.verify_product_bijection(
+        chain3_sub, (2, 2), constructive=False, fillings=fills)
+    assert given.search is None
+
+
+def test_enumeration_result_freed_without_gc(chain3_sub):
+    gc.disable()
+    try:
+        fills = qe.enumerate_fillings(chain3_sub, (2, 2))
+        first = weakref.ref(fills[0])
+        del fills
+        assert first() is None
+    finally:
+        gc.enable()
+
+
 def test_single_hole_trivially_bijective(chain3):
     order = chain3.face_order
     sub = qt.mark_subtemplate(chain3, [f for f in order if f != order[2]])
@@ -359,6 +414,96 @@ def test_deep_fixture_labels_agree_or_degenerate(chain3_sub):
             continue
         assert rep.max_difference < 1e-6
     assert degenerate < 30
+
+
+def _seg_seg_distance(p1, p2, q1, q2):
+    """Scalar oracle: Euclidean distance between two closed segments."""
+
+    def point_seg(p, a, b):
+        ab = b - a
+        denom = float(ab @ ab)
+        t = 0.0 if denom == 0 else float((p - a) @ ab) / denom
+        t = min(max(t, 0.0), 1.0)
+        return float(np.linalg.norm(p - (a + t * ab)))
+
+    d1 = (p2 - p1, q1 - p1, q2 - p1)
+    cross1 = d1[0][0] * d1[1][1] - d1[0][1] * d1[1][0]
+    cross2 = d1[0][0] * d1[2][1] - d1[0][1] * d1[2][0]
+    d2 = (q2 - q1, p1 - q1, p2 - q1)
+    cross3 = d2[0][0] * d2[1][1] - d2[0][1] * d2[1][0]
+    cross4 = d2[0][0] * d2[2][1] - d2[0][1] * d2[2][0]
+    if ((cross1 > 0) != (cross2 > 0)) and ((cross3 > 0) != (cross4 > 0)):
+        return 0.0
+    return min(
+        point_seg(q1, p1, p2), point_seg(q2, p1, p2),
+        point_seg(p1, q1, q2), point_seg(p2, q1, q2),
+    )
+
+
+def _feature_size_oracle(pts):
+    """Shortest boundary segment or closest non-adjacent pair, pair by pair."""
+    k = len(pts)
+    segs = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
+    feat = min(np.linalg.norm(b - a) for a, b in segs)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if i == 0 and j == k - 1:
+                continue
+            feat = min(feat, _seg_seg_distance(*segs[i], *segs[j]))
+    return feat
+
+
+class _Polygon(qw.GeomEmbedding):
+    """A bare polygon posing as one face of an embedding."""
+
+    def boundary_points(self, face):
+        return self.pos["polygon"]
+
+
+def test_seg_seg_distances_match_scalar_oracle():
+    rng = np.random.default_rng(5)
+    p1, p2, q1, q2 = rng.normal(size=(4, 500, 2))
+    q2[:50] = q1[:50]  # zero-length segments
+    p2[50:100] = p1[50:100] + 1e-3 * (q2[50:100] - q1[50:100])  # near-parallel
+    got = qw._seg_seg_distances(p1, p2, q1, q2)
+    want = [_seg_seg_distance(*x) for x in zip(p1, p2, q1, q2)]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert (got == 0.0).sum() == sum(w == 0.0 for w in want) > 0
+
+
+def test_face_feature_size_matches_scalar_oracle(wide_sub, two_pass_sub):
+    embeddings = [qw.embed_subtemplate(wide_sub).emb,
+                  qw.embed_subtemplate(two_pass_sub).emb]
+    fills = qe.enumerate_fillings(two_pass_sub, 2)
+    geom = qw.embed_subtemplate(two_pass_sub)
+    embeddings.append(qw._filling_embedding(geom, fills[-1])[0])
+    checked = 0
+    for emb in embeddings:
+        for face in range(emb.template.map.n_faces):
+            want = _feature_size_oracle(emb.boundary_points(face))
+            assert emb.face_feature_size(face) == pytest.approx(want, rel=1e-12, abs=0.0)
+            checked += 1
+    rnd = random.Random(7)
+    for _ in range(200):
+        loop = cv.star_polygon(rnd.randrange(3, 40), rnd, ccw=rnd.random() < 0.5)
+        pts = [np.array(p) for p in loop.vertices]
+        emb = _Polygon(template=None, pos={"polygon": pts})
+        assert emb.face_feature_size(0) == pytest.approx(
+            _feature_size_oracle(pts), rel=1e-12, abs=0.0)
+        checked += 1
+    assert checked > 200
+
+
+def test_coincident_pinned_nodes_raise(chain3):
+    pos = qw.embed_template(chain3).pos
+    pinned = {k: p for k, p in pos.items() if k[0] != "f"}
+    pinned[("v", 1)] = pinned[("v", 0)].copy()
+    with pytest.raises(EmbeddingDegenerate,
+                       match=r"nodes \('v', 0\) and \('v', 1\) coincide"):
+        qw._geometric_embed(chain3, pinned)
+    # a separation just above the threshold is not a coincidence
+    pinned[("v", 1)] = pinned[("v", 0)] + np.array([2e-9, 0.0])
+    qw._geometric_embed(chain3, pinned)
 
 
 @pytest.fixture(scope="module")
