@@ -28,6 +28,7 @@ MEANDER_COUNTS = {1: 1, 2: 2, 3: 8, 4: 42, 5: 262}
 
 
 def fixture_template(moves):
+    """Ordered template from a scripted move sequence."""
     b = Builder()
     for t, s in moves:
         b.add_face(t=t, s=s)
@@ -37,6 +38,8 @@ def fixture_template(moves):
 
 
 def fixture_subtemplate(moves, unmarked_positions):
+    """Reduce the scripted template, carving holes at the given positions
+    of the face order (position 2 = F_1, etc.)."""
     t = fixture_template(moves)
     order = t.face_order
     skip = {order[i] for i in unmarked_positions}

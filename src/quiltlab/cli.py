@@ -4,11 +4,11 @@ Subcommands: meander {count,verify,classes}, curvature, quilt {validate,
 verify-bijection,determinant,winding-labels}, mating {simulate,calibrate},
 fields {rotate,kirchhoff,partition-identity}, verify-all.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All numeric
-reports carry provenance (version, seed, parameters); JSON output is
-canonical (sorted keys, fixed float formatting) so reruns with the same
-seed are byte-identical.  The environment variable QUILTLAB_SEED overrides
---seed everywhere.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a
+malformed input file (ParseError).  All numeric reports carry provenance
+(version, seed, parameters); JSON output is canonical (sorted keys, fixed
+float formatting) so reruns with the same seed are byte-identical.  The
+environment variable QUILTLAB_SEED overrides --seed everywhere.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from . import quilt as qt
 from . import quilt_enum as qe
 from . import quilt_winding as qw
 from . import curvature as cv
-from .errors import QuiltLabError
+from .errors import ParseError, QuiltLabError
 from ._verify import run_verify_all
 
 EXIT_OK = 0
@@ -103,18 +103,35 @@ def cmd_meander_classes(args):
     return EXIT_OK
 
 
+def _read_text(path):
+    """The text of an input file; bytes that do not decode are a ParseError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not a text file: {exc.reason}") from exc
+
+
 # --- curvature -------------------------------------------------------------------
 
 
-def cmd_curvature(args):
+def _polyline_from_text(text):
+    """Points of the CSV polyline format: one ``x,y`` per line, ``#`` comments."""
     pts = []
-    with open(args.infile) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if not ln or ln.startswith("#"):
+            continue
+        try:
             x, y = ln.split(",")
             pts.append((float(x), float(y)))
+        except ValueError as exc:
+            raise ParseError(f"expected 'x,y', got {ln!r}") from exc
+    return pts
+
+
+def cmd_curvature(args):
+    pts = _polyline_from_text(_read_text(args.infile))
     curve = cv.PolygonalCurve(vertices=tuple(pts), closed=args.closed)
     total = cv.total_turning(curve)
     _emit(args, {
@@ -130,8 +147,7 @@ def cmd_curvature(args):
 
 
 def _load_template(path):
-    with open(path) as fh:
-        return qt.template_from_text(fh.read())
+    return qt.template_from_text(_read_text(path))
 
 
 def cmd_quilt_validate(args):
@@ -285,8 +301,7 @@ def cmd_fields_rotate(args):
 
 
 def cmd_fields_kirchhoff(args):
-    with open(args.graph) as fh:
-        g = fl.load_graph(fh.read())
+    g = fl.load_graph(_read_text(args.graph))
     count = fl.spanning_tree_count(g)
     _emit(args, {"provenance": _provenance(args), "spanning_trees": count})
     return EXIT_OK
@@ -453,6 +468,9 @@ def main(argv=None):
         args.seed = int(seed_env)
     try:
         return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except QuiltLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -5,6 +5,10 @@ class QuiltLabError(Exception):
     """Base class for all quiltlab errors."""
 
 
+class ParseError(QuiltLabError, ValueError):
+    """Malformed input text: a template, map, graph or polyline file."""
+
+
 # --- planar map construction -------------------------------------------------
 
 class MapError(QuiltLabError, ValueError):

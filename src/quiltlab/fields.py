@@ -33,6 +33,7 @@ from .errors import (
     FieldsError,
     NegativeChi,
     NotOrthogonal,
+    ParseError,
     SingularLaplacian,
 )
 
@@ -524,14 +525,18 @@ def load_graph(text: str) -> Graph:
         if not ln or ln.startswith("#"):
             continue
         parts = ln.split()
-        if parts[0] == "B":
-            v = int(parts[1])
-            boundary.add(v)
-            max_v = max(max_v, v)
+        is_boundary = parts[0] == "B"
+        try:
+            ids = [int(x) for x in (parts[1:] if is_boundary else parts)]
+        except ValueError as exc:
+            raise ParseError(f"bad vertex id in line {ln!r}") from exc
+        if len(ids) != (1 if is_boundary else 2) or min(ids) < 0:
+            raise ParseError(f"expected 'u v' or 'B v' with ids >= 0, got {ln!r}")
+        if is_boundary:
+            boundary.add(ids[0])
         else:
-            u, v = int(parts[0]), int(parts[1])
-            edges.append((u, v))
-            max_v = max(max_v, u, v)
+            edges.append(tuple(ids))
+        max_v = max(max_v, *ids)
     return Graph(n=max_v + 1, edges=tuple(edges), boundary=frozenset(boundary))
 
 

@@ -24,6 +24,7 @@ from .errors import (
     MapError,
     NonInvolution,
     NonPermutation,
+    ParseError,
     SizeMismatch,
 )
 
@@ -326,7 +327,11 @@ def canonical_code(m: HalfEdgeMap) -> bytes:
     next and twin and matching roots) iff their codes are equal: the code is
     the next/twin tables written in breadth-first visit order from the root.
     """
-    label = canonical_labeling(m)
+    return code_from_labeling(m, canonical_labeling(m))
+
+
+def code_from_labeling(m: HalfEdgeMap, label) -> bytes:
+    """The next/twin tables of ``m`` written in the dart order of ``label``."""
     n = m.n_darts
     inv = [0] * n
     for d, lab in enumerate(label):
@@ -381,17 +386,15 @@ def to_text(m: HalfEdgeMap) -> str:
 def from_text(text: str) -> HalfEdgeMap:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("E="):
-        raise MapError("expected header line 'E=<n>'")
-    n_edges = int(lines[0][2:])
-    body = lines[1 : 1 + 2 * n_edges]
-    if len(body) != 2 * n_edges:
-        raise SizeMismatch("wrong number of dart lines")
-    nxt, twn = [], []
-    for ln in body:
-        a, b = ln.split()
-        nxt.append(int(a))
-        twn.append(int(b))
-    return build_map(nxt, twn, 0)
+        raise ParseError("expected header line 'E=<n>'")
+    try:
+        n_edges = int(lines[0][2:])
+        rows = [tuple(map(int, ln.split())) for ln in lines[1 : 1 + 2 * n_edges]]
+    except ValueError as exc:
+        raise ParseError(f"malformed map text: {exc}") from exc
+    if len(rows) != 2 * n_edges or any(len(r) != 2 for r in rows):
+        raise ParseError("expected 2*E dart lines of 'next twin'")
+    return build_map([r[0] for r in rows], [r[1] for r in rows], 0)
 
 
 # --- small classical fixtures ----------------------------------------------------

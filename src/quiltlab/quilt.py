@@ -42,6 +42,7 @@ from . import planar_map as pm
 from .errors import (
     DisconnectedSelection,
     MissingOrder,
+    ParseError,
     SingularMap,
     TemplateError,
     WrongGonProfile,
@@ -725,7 +726,11 @@ def template_key(t: Template, marked=None) -> bytes:
     """Isomorphism key of a rooted template (optionally with a marked-face
     set): BFS-canonical map code plus relabeled marks, holes (labelled by
     first encounter), and tags."""
-    label = pm.canonical_labeling(t.map)
+    return _labeled_key(t, pm.canonical_labeling(t.map), marked)
+
+
+def _labeled_key(t: Template, label, marked=None) -> bytes:
+    """``template_key`` of ``t`` from its canonical labeling ``label``."""
 
     def vkey(v):
         return min(label[d] for d in t.map.vertex_cycles[v])
@@ -733,7 +738,7 @@ def template_key(t: Template, marked=None) -> bytes:
     def fkey(f):
         return min(label[d] for d in t.map.face_cycles[f])
 
-    parts = [pm.canonical_code(t.map).decode("ascii")]
+    parts = [pm.code_from_labeling(t.map, label).decode("ascii")]
     for f in sorted(range(t.map.n_faces), key=fkey):
         if f in t.holes:
             parts.append(f"F{fkey(f)}:HOLE")
@@ -748,10 +753,10 @@ def template_key(t: Template, marked=None) -> bytes:
 
 def template_iso(a: Template, b: Template):
     """Dart bijection realizing a rooted isomorphism a -> b, or None."""
-    if template_key(a) != template_key(b):
-        return None
     la = pm.canonical_labeling(a.map)
     lb = pm.canonical_labeling(b.map)
+    if _labeled_key(a, la) != _labeled_key(b, lb):
+        return None
     inv_b = {lab: d for d, lab in enumerate(lb)}
     return {d: inv_b[la[d]] for d in range(a.map.n_darts)}
 
@@ -778,28 +783,30 @@ def template_to_text(t: Template) -> str:
 
 def template_from_text(text: str) -> Template:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines[0].startswith("E="):
-        raise TemplateError("expected 'E=<n>' header")
-    n_edges = int(lines[0][2:])
-    map_lines = lines[: 1 + 2 * n_edges]
-    rest = lines[1 + 2 * n_edges:]
+    if not lines or not lines[0].startswith("E="):
+        raise ParseError("expected 'E=<n>' header")
+    try:
+        n_edges = int(lines[0][2:])
+        rest = [(ln, ln.split()[0], [int(x) for x in ln.split()[1:]])
+                for ln in lines[1 + 2 * n_edges:]]
+    except ValueError as exc:
+        raise ParseError(f"malformed template text: {exc}") from exc
     root = 0
     order = None
     holes = set()
     marks = {}
-    for ln in rest:
-        parts = ln.split()
-        if parts[0] == "ROOT":
-            root = int(parts[1])
-        elif parts[0] == "ORDER":
-            order = tuple(int(x) for x in parts[1:])
-        elif parts[0] == "HOLE":
-            holes.add(int(parts[1]))
-        elif parts[0] == "MARKS":
-            marks[int(parts[1])] = tuple(int(v) for v in parts[2:])
+    for ln, key, vals in rest:
+        if key == "ORDER":
+            order = tuple(vals)
+        elif key == "ROOT" and len(vals) == 1:
+            root = vals[0]
+        elif key == "HOLE" and len(vals) == 1:
+            holes.add(vals[0])
+        elif key == "MARKS" and vals:
+            marks[vals[0]] = tuple(vals[1:])
         else:
-            raise TemplateError(f"unrecognized line {ln!r}")
-    body = "\n".join(map_lines) + "\n"
+            raise ParseError(f"unrecognized line {ln!r}")
+    body = "\n".join(lines[: 1 + 2 * n_edges]) + "\n"
     m = pm.from_text(body)
     m = pm.build_map(list(m.next_dart), [d ^ 1 for d in range(m.n_darts)], root)
     return Template(map=m, marks=marks, holes=frozenset(holes), face_order=order)

@@ -23,12 +23,18 @@ placed.  A child that can place no further face is only ever closed, so its
 2-gon check runs on the parent's tags, before any clone or ``add_face``.
 The search counts its nodes, the children that check cuts, its leaves and
 the reject reason of every leaf that is not a filling (``counters``).
+
+A closed leaf is reduced onto the subtemplate once, by ``_filling``, the
+one constructor of a ``Filling``: the filling keeps the dart paths of the
+subtemplate's darts and its clusters in hole order, and the composition,
+the product bijection check and ``quilt_winding`` read that view instead of
+reducing the filling again.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import planar_map as pm
 from ._builder import EXT, Builder
@@ -48,18 +54,57 @@ from .quilt import (
 class Filling:
     """An element of the filling set: ordered template plus its marking.
 
-    ``clusters[i]`` is the face set filling hole i (position in the
-    subtemplate's hole label order); ``added[i]`` its size.
+    The filling is reduced onto its subtemplate once, when it is made
+    (``_filling``), and every consumer reads that view:
+    ``dart_paths[d]`` is the tuple of filling darts that subtemplate dart d
+    expands to, and ``clusters[i]`` is the face set filling hole i
+    (position in the subtemplate's hole label order); ``added[i]`` its size.
     """
 
     template: Template
     marked: frozenset
     clusters: tuple
     key: bytes
+    dart_paths: tuple = field(compare=False, repr=False)
 
     @property
     def added(self):
         return tuple(len(c) for c in self.clusters)
+
+    def vertex_to_tsub(self, tsub: MarkedSubtemplate):
+        """Filling vertex -> subtemplate vertex, for the subtemplate's vertices."""
+        vertex_of = self.template.map.vertex_of
+        return {vertex_of[path[0]]: v
+                for path, v in zip(self.dart_paths, tsub.template.map.vertex_of)}
+
+
+def _filling(tsub: MarkedSubtemplate, template: Template, marked):
+    """The Filling of ``tsub`` made of ``template`` and its ``marked`` faces,
+    with its view of ``tsub`` read off one reduction.
+
+    Returns None when the marked faces reduce to another subtemplate and
+    raises TemplateError when they do not reduce at all.
+    """
+    marked = frozenset(marked)
+    red = mark_subtemplate(template, marked)
+    iso = template_iso(tsub.template, red.template)  # tsub dart -> reduced dart
+    if iso is None:
+        return None
+    tmap = tsub.template.map
+    # the isomorphism maps holes to holes: the keys tag every hole face
+    red_hole_pos = {h: i for i, h in enumerate(red.hole_labels)}
+    red_face_of = red.template.map.face_of
+    clusters = tuple(
+        red.cluster_faces[red_hole_pos[red_face_of[iso[tmap.face_cycles[h][0]]]]]
+        for h in tsub.hole_labels
+    )
+    return Filling(
+        template=template,
+        marked=marked,
+        clusters=clusters,
+        key=template_key(template, marked=marked),
+        dart_paths=tuple(red.dart_expansion[iso[d]] for d in range(tmap.n_darts)),
+    )
 
 
 def _normalize_budgets(tsub: MarkedSubtemplate, n_max):
@@ -138,7 +183,7 @@ def _prefix_profiles(raw):
 # --- the search -----------------------------------------------------------------------
 
 
-REJECT_REASONS = ("reduction_failed", "key_mismatch", "hole_unmatched", "over_budget")
+REJECT_REASONS = ("reduction_failed", "key_mismatch", "over_budget")
 
 
 class _Search:
@@ -154,7 +199,6 @@ class _Search:
         # the 2-gon's near sides as frontier tags read from the terminal
         # (None: no remainder can close)
         self.close_left, self.close_right = (two[0][::-1], two[1]) if two else (None, None)
-        self.tsub_key = template_key(t)
         self.total_budget = sum(budgets)
         self.tags = []  # "M"/"U" per added 4-gon, in construction order
         self.results = []
@@ -173,8 +217,6 @@ class _Search:
 def _finish(search: _Search, builder: Builder):
     """Close ``builder`` (consumed) and keep the template if it is a filling."""
     search.counters["leaves"] += 1
-    tsub = search.tsub
-    t = tsub.template
     builder.close()
     template, seq_to_face, _ = builder.build()
     report = validate_template(template)
@@ -184,36 +226,21 @@ def _finish(search: _Search, builder: Builder):
     for i, tag in enumerate(search.tags):
         if tag == "M":
             marked.add(seq_to_face[i + 1])
-    marked = frozenset(marked)
     try:
-        red = mark_subtemplate(template, marked)
+        filling = _filling(search.tsub, template, marked)
     except TemplateError:
         search.reject("reduction_failed")
         return
-    if template_key(red.template) != search.tsub_key:
+    if filling is None:
         search.reject("key_mismatch")
         return
-    iso = template_iso(red.template, t)
-    # hole labels of the reduction, matched to the subtemplate's labels
-    clusters = [None] * search.b
-    for pos, hole_face in enumerate(red.hole_labels):
-        d = red.template.map.face_cycles[hole_face][0]
-        target_face = t.map.face_of[iso[d]]
-        target_pos = tsub.hole_labels.index(target_face)
-        clusters[target_pos] = red.cluster_faces[pos]
-    if any(c is None for c in clusters):
-        search.reject("hole_unmatched")
-        return
-    if any(len(c) > search.budgets[i] for i, c in enumerate(clusters)):
+    if any(n > cap for n, cap in zip(filling.added, search.budgets)):
         search.reject("over_budget")
         return
-    key = template_key(template, marked=marked)
-    if key in search.seen:
+    if filling.key in search.seen:
         raise TemplateError("duplicate filling found; construction not unique")
-    search.seen.add(key)
-    search.results.append(
-        Filling(template=template, marked=marked, clusters=tuple(clusters), key=key)
-    )
+    search.seen.add(filling.key)
+    search.results.append(filling)
 
 
 def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, available):
@@ -386,10 +413,12 @@ def verify_product_bijection(tsub: MarkedSubtemplate, n_max, constructive=True,
             want = tuple(k for k, _ in combo)
             sources = [f for _, f in combo]
             template, marked = compose_fillings(tsub, sources)
-            red = mark_subtemplate(template, marked)
-            if template_key(red.template) != template_key(tsub.template):
+            try:
+                comp_filling = _filling(tsub, template, marked)
+            except TemplateError:
+                comp_filling = None
+            if comp_filling is None:
                 raise BijectionViolation("composed template has the wrong subtemplate")
-            comp_filling = _filling_from(tsub, template, marked)
             got = tuple(
                 template_key(project_filling(tsub, comp_filling, i).template)
                 for i in range(b)
@@ -412,26 +441,6 @@ def verify_product_bijection(tsub: MarkedSubtemplate, n_max, constructive=True,
     )
 
 
-def _filling_from(tsub: MarkedSubtemplate, template: Template, marked):
-    """Package an ordered template + marking as a Filling of ``tsub``."""
-    red = mark_subtemplate(template, marked)
-    iso = template_iso(red.template, tsub.template)
-    if iso is None:
-        raise TemplateError("template does not reduce to the subtemplate")
-    b = tsub.n_holes
-    clusters = [None] * b
-    for pos, hole_face in enumerate(red.hole_labels):
-        d = red.template.map.face_cycles[hole_face][0]
-        target_face = tsub.template.map.face_of[iso[d]]
-        clusters[tsub.hole_labels.index(target_face)] = red.cluster_faces[pos]
-    return Filling(
-        template=template,
-        marked=frozenset(marked),
-        clusters=tuple(clusters),
-        key=template_key(template, marked=frozenset(marked)),
-    )
-
-
 # --- gluing fillings hole by hole --------------------------------------------------------
 
 
@@ -446,47 +455,25 @@ def compose_fillings(tsub: MarkedSubtemplate, sources):
     if len(sources) != b:
         raise TemplateError(f"need {b} sources, one per hole")
 
-    # per-hole data extracted from each source's reduction
+    # per-hole data read off each source's view of the subtemplate
     hole_data = []
     for j, g in enumerate(sources):
-        red = mark_subtemplate(g.template, g.marked)
-        iso = template_iso(t, red.template)  # tsub dart -> reduced dart
-        if iso is None:
-            raise TemplateError(f"source {j} does not reduce to the subtemplate")
-        gmap = g.template.map
-        rmap = red.template.map
-        # reduced vertex -> source vertex, then tsub vertex -> source vertex
-        expansion = red.dart_expansion
-        tsub_to_g_vertex = {}
-        for d in range(t.map.n_darts):
-            rd = iso[d]
-            tsub_to_g_vertex[t.map.vertex_of[d]] = gmap.vertex_of[expansion[rd][0]]
-        g_vertex_to_tsub = {gv: tv for tv, gv in tsub_to_g_vertex.items()}
         hole_face = tsub.hole_labels[j]
-        # which source faces fill this hole
-        rd0 = iso[t.map.face_cycles[hole_face][0]]
-        g_face0 = gmap.face_of[expansion[rd0][0]]
-        cluster = None
-        for c in g.clusters:
-            if g_face0 in c:
-                cluster = c
-        if cluster is None:
-            raise TemplateError(f"source {j}: hole image is not an unmarked cluster")
-        boundary_pieces = {}
-        for d in range(t.map.n_darts):
-            if t.map.face_of[d] == hole_face or t.map.face_of[d ^ 1] == hole_face:
-                boundary_pieces[d] = expansion[iso[d]]
+        boundary_pieces = {
+            d: path for d, path in enumerate(g.dart_paths)
+            if t.map.face_of[d] == hole_face or t.map.face_of[d ^ 1] == hole_face
+        }
         piece_edges = {
             x >> 1 for path in boundary_pieces.values() for x in path
         }
         hole_data.append(
             dict(
                 g=g,
-                gmap=gmap,
-                cluster=cluster,
+                gmap=g.template.map,
+                cluster=g.clusters[j],
                 boundary_pieces=boundary_pieces,
                 piece_edges=piece_edges,
-                g_vertex_to_tsub=g_vertex_to_tsub,
+                g_vertex_to_tsub=g.vertex_to_tsub(tsub),
             )
         )
 

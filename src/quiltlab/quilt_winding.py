@@ -31,7 +31,7 @@ import numpy as np
 
 from .curvature import PolygonalCurve, is_simple, total_turning, turning_angles
 from .errors import EmbeddingDegenerate, InvalidChoice, TemplateError
-from .quilt import MarkedSubtemplate, Template, mark_subtemplate, template_iso
+from .quilt import MarkedSubtemplate, Template
 
 LABEL_TOL = 1e-6
 
@@ -349,18 +349,10 @@ def _filling_embedding(geom: SubtemplateGeometry, filling):
     (vertices at fractions i/k, piece midpoints at (i+1/2)/k); hole
     interiors are then placed harmonically.
     """
-    tsub = geom.tsub
-    t = tsub.template
-    red = mark_subtemplate(filling.template, filling.marked)
-    iso = template_iso(t, red.template)  # tsub dart -> reduced dart
-    if iso is None:
-        raise TemplateError("filling does not reduce to the subtemplate")
+    t = geom.tsub.template
     fmap = filling.template.map
-    expansion = red.dart_expansion
-
     pinned = {}
-    for d in range(t.map.n_darts):
-        path = expansion[iso[d]]
+    for d, path in enumerate(filling.dart_paths):
         v_tail = t.map.vertex_of[d]
         v_head = t.map.vertex_of[d ^ 1]
         poly = [geom.emb.vertex(v_tail), geom.emb.midpoint(d >> 1),
@@ -370,11 +362,10 @@ def _filling_embedding(geom: SubtemplateGeometry, filling):
             fv = fmap.vertex_of[x]
             pinned.setdefault(("v", fv), _polyline_interp(poly, i / k))
             pinned.setdefault(("m", x >> 1), _polyline_interp(poly, (i + 0.5) / k))
-    emb = GeomEmbedding(
+    return GeomEmbedding(
         template=filling.template,
         pos=_geometric_embed(filling.template, pinned),
     )
-    return emb, iso, red
 
 
 OFFSET = 0.15
@@ -432,20 +423,16 @@ def filling_curve(geom: SubtemplateGeometry, filling):
     """
     t = filling.template
     tsub = geom.tsub
-    emb, iso, red = _filling_embedding(geom, filling)
+    emb = _filling_embedding(geom, filling)
     seq = t.face_order[1:]  # F_0 .. F_{n+1}
 
     # face and vertex correspondence with the subtemplate
-    fmap = t.map
-    expansion = red.dart_expansion
-    to_tsub_v = {}
+    to_tsub_v = filling.vertex_to_tsub(tsub)
     filling_to_tsub_face = {}
-    for d in range(tsub.template.map.n_darts):
-        x = expansion[iso[d]][0]
-        to_tsub_v[fmap.vertex_of[x]] = tsub.template.map.vertex_of[d]
+    for d, path in enumerate(filling.dart_paths):
         tf = tsub.template.map.face_of[d]
         if tf not in tsub.template.holes:
-            filling_to_tsub_face[fmap.face_of[x]] = tf
+            filling_to_tsub_face[t.map.face_of[path[0]]] = tf
 
     def depart_of(f):
         tf = filling_to_tsub_face.get(f)
@@ -484,13 +471,13 @@ def filling_curve(geom: SubtemplateGeometry, filling):
             visits.append((root, 0))
         points.extend(pts)
         visits.append((term, len(points) - 1))
-    return points, visits, iso, red
+    return points, visits
 
 
 def winding_label_values(geom: SubtemplateGeometry, filling):
     """theta at the subtemplate's hole-boundary root/terminal vertices:
     cumulative total curvature at each visit, 0 at the start."""
-    points, visits, iso, red = filling_curve(geom, filling)
+    points, visits = filling_curve(geom, filling)
     curve = PolygonalCurve(vertices=tuple(map(tuple, points)))
     angles = turning_angles(curve)
     prefix = [0.0]
@@ -501,15 +488,8 @@ def winding_label_values(geom: SubtemplateGeometry, filling):
     # arriving at point p accumulates the turns at points 1..p-1
     theta_at = lambda p: prefix[max(p - 1, 0)] if p >= 1 else 0.0
 
-    tsub = geom.tsub
-    t = tsub.template
-    fmap = filling.template.map
-    expansion = red.dart_expansion
-    to_tsub = {}
-    for d in range(t.map.n_darts):
-        to_tsub[fmap.vertex_of[expansion[iso[d]][0]]] = t.map.vertex_of[d]
-
-    nodes = subtemplate_curve_graph(tsub).boundary_vertices
+    to_tsub = filling.vertex_to_tsub(geom.tsub)
+    nodes = subtemplate_curve_graph(geom.tsub).boundary_vertices
     labels = {}
     for fv, idx in visits:
         v = to_tsub.get(fv)
@@ -659,14 +639,7 @@ def hamiltonian_closure(tsub: MarkedSubtemplate, choices) -> bool:
 def arcs_from_filling(tsub: MarkedSubtemplate, filling, hole_pos: int):
     """The arc system a filling induces on one hole: maximal runs of its
     cluster faces, as (entry vertex, exit vertex) pairs in subtemplate ids."""
-    red = mark_subtemplate(filling.template, filling.marked)
-    iso = template_iso(tsub.template, red.template)
-    fmap = filling.template.map
-    expansion = red.dart_expansion
-    to_tsub = {}
-    for d in range(tsub.template.map.n_darts):
-        to_tsub[fmap.vertex_of[expansion[iso[d]][0]]] = tsub.template.map.vertex_of[d]
-
+    to_tsub = filling.vertex_to_tsub(tsub)
     t = filling.template
     cluster = set(filling.clusters[hole_pos])
     arcs = []
@@ -691,20 +664,8 @@ def canonical_arc_curvature(geom: SubtemplateGeometry, hole_pos, src, dst,
     in the hole with the pinned end directions.  Homotopy in the hole disk
     pins the value, so any simple representative yields the canonical one;
     the representative hugs the hole boundary walked clockwise."""
-    emb = geom.emb
     hole_face = geom.tsub.hole_labels[hole_pos]
-    delta = OFFSET * emb.face_feature_size(hole_face)
-    pts = [emb.vertex(src), emb.vertex(src) + PIN * delta * depart]
-    for key in _boundary_nodes_cw(geom.tsub.template, hole_face, src, dst):
-        if key[0] == "m":
-            p = emb.midpoint(key[1])
-            inward = emb.midpoint_inward(hole_face, key[1])
-        else:
-            p = emb.vertex(key[1])
-            inward = emb.corner_direction(hole_face, key[1])
-        pts.append(p + delta * inward)
-    pts.append(emb.vertex(dst) - PIN * delta * arrive)
-    pts.append(emb.vertex(dst))
+    pts = _face_curve_points(geom.emb, hole_face, depart, arrive, src, dst)
     curve = PolygonalCurve(vertices=tuple(map(tuple, pts)))
     if not is_simple(curve):
         raise EmbeddingDegenerate(f"representative arc {src}->{dst} self-crosses")

@@ -1,29 +1,10 @@
 import numpy as np
 import pytest
 
-from quiltlab import quilt as qt
-from quiltlab._builder import Builder
+from quiltlab._verify import fixture_subtemplate as build_subtemplate
+from quiltlab._verify import fixture_template as build_template
 
 MASTER_SEED = 2
-
-
-def build_template(moves):
-    """Ordered template from a scripted move sequence."""
-    b = Builder()
-    for t, s in moves:
-        b.add_face(t=t, s=s)
-    b.close()
-    template, _, _ = b.build()
-    return template
-
-
-def build_subtemplate(moves, unmarked_positions):
-    """Reduce the scripted template, carving holes at the given positions
-    of the face order (position 2 = F_1, etc.)."""
-    t = build_template(moves)
-    order = t.face_order
-    skip = {order[i] for i in unmarked_positions}
-    return qt.mark_subtemplate(t, [f for f in order if f not in skip])
 
 
 @pytest.fixture

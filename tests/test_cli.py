@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiltlab import fields as fl
+from quiltlab import planar_map as pm
 from quiltlab import quilt as qt
-from quiltlab.cli import main
+from quiltlab.cli import _polyline_from_text, main
+from quiltlab.errors import QuiltLabError
 
 from conftest import build_template
 
@@ -237,3 +240,57 @@ def test_template_file_write_read_write_identical(tmp_path):
 def test_exit_codes_under_argv_fuzzing(argv):
     code = main(argv)
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["quilt", "validate", "--in"], b""),
+    (["curvature", "--in"], b"foo\n"),
+    (["fields", "kirchhoff", "--graph"], b"1\n"),
+    (["quilt", "validate", "--in"], b"\xff\xfe\x00E=1"),
+], ids=["empty-template", "csv-foo", "edge-1", "binary-template"])
+def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    code, _, err = run(argv + [str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# valid files of each reader's format, and tokens to corrupt them with
+READERS = {
+    "template": (qt.template_from_text,
+                 qt.template_to_text(build_template([(1, 1), (2, 1)]))),
+    "map": (pm.from_text, pm.to_text(pm.tetrahedron_map())),
+    "graph": (fl.load_graph, fl.dump_graph(fl.grid_graph(2))),
+    "polyline": (_polyline_from_text, "# square\n0,0\n1,0\n1,1\n0,1\n"),
+}
+TOKENS = ["E=1", "E=2", "E=0", "E=-1", "E=x", "0", "1", "2", "3", "-1", "11", "B",
+          "x", ",", "1,2", "1,", "nan", "ROOT", "ORDER", "HOLE", "MARKS", "#", ""]
+
+
+@st.composite
+def corrupted(draw, text):
+    lines = text.splitlines()
+    line = st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "replace", "insert"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(line))
+        elif op == "drop":
+            del lines[i]
+        else:
+            lines[i] = draw(line)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_readers_raise_only_quiltlab_errors(name, data):
+    reader, text = READERS[name]
+    fuzzed = data.draw(st.one_of(corrupted(text), st.text(max_size=40)))
+    try:
+        reader(fuzzed)
+    except QuiltLabError:
+        pass

@@ -269,12 +269,56 @@ FILLING_DIGESTS = {
 }
 
 
+def _reference_view(tsub, filling):
+    """A filling's view rebuilt by reducing it again: dart paths, clusters
+    and the filling-vertex -> subtemplate-vertex map."""
+    red = qt.mark_subtemplate(filling.template, filling.marked)
+    iso = qt.template_iso(red.template, tsub.template)  # reduced -> tsub dart
+    tmap = tsub.template.map
+    from_tsub = {td: rd for rd, td in iso.items()}
+    dart_paths = tuple(red.dart_expansion[from_tsub[d]] for d in range(tmap.n_darts))
+    clusters = [None] * tsub.n_holes
+    for pos, hole_face in enumerate(red.hole_labels):
+        d = red.template.map.face_cycles[hole_face][0]
+        clusters[tsub.hole_labels.index(tmap.face_of[iso[d]])] = red.cluster_faces[pos]
+    red_to_tsub = {red.template.map.vertex_of[rd]: tmap.vertex_of[td]
+                   for rd, td in iso.items()}
+    vertices = {fv: red_to_tsub[rv] for fv, rv in red.parent_vertex_to_reduced().items()}
+    return dart_paths, tuple(clusters), vertices
+
+
+def _assert_view_matches_reference(tsub, filling):
+    dart_paths, clusters, vertices = _reference_view(tsub, filling)
+    assert filling.dart_paths == dart_paths
+    assert filling.clusters == clusters
+    assert filling.vertex_to_tsub(tsub) == vertices
+
+
 @pytest.mark.parametrize("name", sorted(FILLING_DIGESTS))
 def test_fillings_byte_identical(name):
     moves, holes, budgets, count, digest = FILLING_DIGESTS[name]
-    fills = qe.enumerate_fillings(build_subtemplate(moves, holes), budgets)
+    tsub = build_subtemplate(moves, holes)
+    fills = qe.enumerate_fillings(tsub, budgets)
     assert len(fills) == count
     assert hashlib.sha256(b"".join(f.key for f in fills)).hexdigest() == digest
+    for f in fills:
+        _assert_view_matches_reference(tsub, f)
+
+
+def test_composed_filling_view_matches_reduction(chain3_sub, monkeypatch):
+    fills = qe.enumerate_fillings(chain3_sub, 2)
+    made = []
+    make = qe._filling
+
+    def recording(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(qe, "_filling", recording)
+    rep = qe.verify_product_bijection(chain3_sub, 2, fillings=fills)
+    assert len(made) == rep.composed_checked == 50
+    for f in made:
+        _assert_view_matches_reference(chain3_sub, f)
 
 
 def test_search_counters_account_for_every_leaf(chain3_sub):
@@ -476,7 +520,7 @@ def test_face_feature_size_matches_scalar_oracle(wide_sub, two_pass_sub):
                   qw.embed_subtemplate(two_pass_sub).emb]
     fills = qe.enumerate_fillings(two_pass_sub, 2)
     geom = qw.embed_subtemplate(two_pass_sub)
-    embeddings.append(qw._filling_embedding(geom, fills[-1])[0])
+    embeddings.append(qw._filling_embedding(geom, fills[-1]))
     checked = 0
     for emb in embeddings:
         for face in range(emb.template.map.n_faces):
@@ -576,6 +620,22 @@ def test_incompatible_arcs_break_the_cycle(two_pass_sub):
         for a in qw.admissible_arc_sets(two_pass_sub, geom, theta, big)
     ]
     assert tuple(sorted(swapped)) not in admissible
+
+
+def test_winding_reads_the_stored_view(two_pass_sub, monkeypatch):
+    fills = qe.enumerate_fillings(two_pass_sub, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a filling was reduced again")
+
+    for module in (qt, qe, qw):
+        for name in ("mark_subtemplate", "template_iso"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert qw.winding_labels(two_pass_sub, fills[0], fills[-1]).agree
+    for f in fills:
+        for j in range(two_pass_sub.n_holes):
+            assert qw.arcs_from_filling(two_pass_sub, f, j)
 
 
 def test_invalid_choice_degree(two_pass_sub):
