@@ -1,15 +1,18 @@
-"""Aggregate verification suite behind ``quilt-lab verify-all``.
+"""The acceptance checks behind ``quilt-lab verify-all`` and the acceptance suite.
 
-Runs one named check per verified claim and returns a deterministic report
-(no timestamps or durations in the payload, so identical seeds give
-byte-identical reports).  Failures are data, not exceptions; the CLI turns
-them into exit code 1.  ``inject_fault=<name>`` deliberately corrupts one
-check's computed value, which exercises the failure path end to end.
+Each check returns ``(ok, details)``; the details hold no timestamps or
+durations, so identical seeds give byte-identical reports.  Failures are
+data, not exceptions; the CLI turns them into exit code 1.  ``faulty=True``
+corrupts one check's computed value, which exercises the failure path end
+to end.  A check with a larger acceptance workload takes ``scale``:
+``"quick"`` (``verify-all``) or ``"full"``; only sizes depend on it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -25,6 +28,13 @@ from . import quilt_winding as qw
 from ._builder import Builder
 
 MEANDER_COUNTS = {1: 1, 2: 2, 3: 8, 4: 42, 5: 262}
+
+# scripted subtemplates of criteria 4 and 6: (moves, unmarked positions)
+FIXTURES = {
+    "chain": ([(1, 1)] * 3, (2, 4)),
+    "wide": ([(1, 2)] * 3, (2, 4)),
+    "two-pass": ([(1, 1), (1, 1), (1, 1), (1, 2), (1, 3)], (2, 4, 6)),
+}
 
 
 def fixture_template(moves):
@@ -47,32 +57,31 @@ def fixture_subtemplate(moves, unmarked_positions):
 
 
 def check_meander_counts(seed, faulty=False):
-    got = {m: len(me.enumerate_meanders(m)) for m in range(1, 5)}
-    got.update({5: me.count_meanders_transfer_matrix(5)})
-    cross = {m: me.count_meanders_transfer_matrix(m) for m in range(1, 5)}
+    got = {m: len(me.enumerate_meanders(m)) for m in MEANDER_COUNTS}
+    cross = {m: me.count_meanders_transfer_matrix(m) for m in MEANDER_COUNTS}
     if faulty:
         got[3] += 1
-    ok = all(got[m] == MEANDER_COUNTS[m] for m in got) and all(
-        cross[m] == got[m] for m in cross
-    )
-    return ok, {"counts": got}
+    return got == MEANDER_COUNTS and cross == MEANDER_COUNTS, {"counts": got}
 
 
 def check_meander_factorization(seed, faulty=False):
-    sizes = (1, 2, 3, 4)
-    reports = {}
-    for m in sizes:
-        rep = me.verify_factorization(m)
-        reports[m] = {"classes": len(rep.classes), "total": rep.total_meanders}
-    ok = all(reports[m]["total"] == MEANDER_COUNTS[m] for m in sizes)
+    reports = {m: me.verify_factorization(m) for m in MEANDER_COUNTS}
+    figure = {c.theta: c for c in reports[4].classes}[(0, 1, 0, -1, 0, 1, 0)]
+    ok = (figure.upper_count, figure.lower_count, figure.meander_count) == (2, 2, 4)
+    for m, rep in reports.items():
+        ok = ok and rep.total_meanders == MEANDER_COUNTS[m] and all(
+            c.meander_count == c.upper_count * c.lower_count for c in rep.classes
+        )
     if faulty:
         ok = False
-    return ok, {"sizes": reports}
+    return ok, {"classes": {m: len(rep.classes) for m, rep in reports.items()}}
 
 
 def check_hopf(seed, faulty=False):
-    import random
-
+    for k in (3, 4, 5, 64):
+        if (cv.verify_hopf(cv.regular_polygon(k)) != 1
+                or cv.verify_hopf(cv.regular_polygon(k, ccw=False)) != -1):
+            return False, {"error": f"wrong orientation sign of the regular {k}-gon"}
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(1000):
@@ -85,59 +94,69 @@ def check_hopf(seed, faulty=False):
         worst = max(worst, abs(abs(cv.total_turning(loop)) - 2 * math.pi))
     if faulty:
         worst += 1.0
-    return worst < 1e-9 * 51, {"max_deviation": worst}
+    return worst < 1e-9 * 51, {"loops": 1000, "max_deviation": worst}
 
 
-def check_product_bijection(seed, faulty=False):
-    tsub = fixture_subtemplate(
-        [(1, 1), (1, 1), (1, 1)], unmarked_positions=(2, 4)
-    )
-    rep = qe.verify_product_bijection(tsub, 2, constructive=False)
-    expected = rep.factor_sizes[0] * rep.factor_sizes[1]
-    if faulty:
-        expected += 1
-    return rep.n_fillings == expected, {
-        "fillings": rep.n_fillings,
-        "factor_sizes": list(rep.factor_sizes),
-    }
+def check_product_bijection(seed, faulty=False, scale="quick"):
+    runs = {
+        "quick": [("chain", (2, 2), False)],
+        "full": [("chain", (2, 2), True), ("wide", (2, 2), True),
+                 ("two-pass", (2, 2), True), ("chain", (4, 1), False)],
+    }[scale]
+    ok = True
+    sizes = {}
+    for name, budgets, constructive in runs:
+        tsub = fixture_subtemplate(*FIXTURES[name])
+        rep = qe.verify_product_bijection(tsub, budgets, constructive=constructive)
+        expected = rep.product + (1 if faulty else 0)
+        ok = ok and rep.n_fillings == expected and rep.injective and rep.surjective
+        sizes[f"{name} {budgets}"] = [rep.n_fillings, *rep.factor_sizes]
+    return ok, {"fillings_and_factor_sizes": sizes}
 
 
-def check_unit_determinant(seed, faulty=False):
-    count = 0
-    for gamma, steps in ((0.5, 6), (1.0, 16), (math.sqrt(2), 48), (1.8, 128)):
-        for k in range(25):
-            p = mt.mot_params(gamma, 0.25, steps, seed + 7919 * k)
-            res = mt.simulate_discretized_disk(p)
-            rep = qt.side_length_map_determinant(res.quilt.template)
-            det = abs(rep.det) + (1 if faulty else 0)
-            if det != 1 or not rep.bijection_ok or not rep.triangular_ok:
-                return False, {"gamma": gamma, "seed": seed + 7919 * k}
-            if rep.left_tree_size != 2 * rep.n + 1:
-                return False, {"error": "left tree size"}
-            count += 1
-    return True, {"templates": count}
+def check_unit_determinant(seed, faulty=False, scale="quick"):
+    per_gamma = {"quick": 25, "full": 250}[scale]
+    scripted = [fixture_template(moves) for moves in
+                ([], [(1, 1)], [(1, 2), (2, 2)], [(1, 1), (2, 1), (1, 2)])]
+    params = (mt.mot_params(gamma, 0.25, steps, seed + 7919 * k)
+              for gamma, steps in ((0.5, 6), (1.0, 16), (math.sqrt(2), 48), (1.8, 128))
+              for k in range(per_gamma))
+    sampled = (mt.simulate_discretized_disk(p).quilt.template for p in params)
+    for i, template in enumerate(itertools.chain(scripted, sampled)):
+        rep = qt.side_length_map_determinant(template)
+        det = abs(rep.det) + (1 if faulty else 0)
+        if not (det == 1 and abs(abs(rep.det_float) - 1) < 1e-9
+                and rep.bijection_ok and rep.triangular_ok
+                and rep.left_tree_size == 2 * rep.n + 1):
+            return False, {"failed_template": i}
+    return True, {"templates": i + 1}
 
 
-def check_winding_labels(seed, faulty=False):
-    tsub = fixture_subtemplate(
-        [(1, 2), (1, 2), (1, 2)], unmarked_positions=(2, 4)
-    )
-    fills = qe.enumerate_fillings(tsub, 2)
-    geom = qw.embed_subtemplate(tsub)
+def check_winding_labels(seed, faulty=False, scale="quick"):
+    names, n_pairs = {"quick": (("wide",), 12), "full": (("wide", "two-pass"), 60)}[scale]
     worst = 0.0
-    for other in fills[1:13]:
-        rep = qw.winding_labels(tsub, fills[0], other, geom=geom)
-        worst = max(worst, rep.max_difference)
+    fixtures = {}
+    for name in names:
+        tsub = fixture_subtemplate(*FIXTURES[name])
+        fills = qe.enumerate_fillings(tsub, 2)
+        geom = qw.embed_subtemplate(tsub)
+        pairs = list(itertools.combinations(range(len(fills)), 2))
+        pairs = random.Random(seed).sample(pairs, min(n_pairs, len(pairs)))
+        for i, j in pairs:
+            rep = qw.winding_labels(tsub, fills[i], fills[j], geom=geom)
+            worst = max(worst, rep.max_difference)
+        fixtures[name] = {"fillings": len(fills), "pairs": len(pairs)}
     if faulty:
         worst += 1.0
-    return worst < qw.LABEL_TOL, {"fillings": len(fills), "max_difference": worst}
+    return worst < qw.LABEL_TOL, {"fixtures": fixtures, "max_difference": worst}
 
 
-def check_mating_pipeline(seed, faulty=False):
+def check_mating_pipeline(seed, faulty=False, scale="quick"):
+    runs = {"quick": 200, "full": 10_000}[scale]
     p = mt.mot_params(math.sqrt(2), 0.15, 64, seed)
     rng = np.random.default_rng(seed)
     worst_resid = 0.0
-    for _ in range(200):
+    for _ in range(runs):
         res = mt.simulate_discretized_disk(p, rng=rng)
         if not qt.validate_template(res.quilt.template).passed:
             return False, {"error": "invalid template"}
@@ -146,24 +165,36 @@ def check_mating_pipeline(seed, faulty=False):
             return False, {"error": "cone constraints violated"}
     if faulty:
         worst_resid += 1.0
-    return worst_resid < 1e-9, {"runs": 200, "max_conservation_residual": worst_resid}
+    return worst_resid < mt.CONSERVATION_TOL, {
+        "runs": runs, "max_conservation_residual": worst_resid,
+    }
 
 
 def check_poisson_partition(seed, faulty=False):
+    """10^4 partitions of [0, 1] at rate 10 from ``mt.poisson_partition``.
+
+    Two tests, each at level 5e-5, so the family-wise false-alarm rate is at
+    most 1e-4 at any seed: the exact two-sided Poisson test of the total cut
+    count against Poisson(10^5), and the KS test of the pooled cut times
+    against Uniform(0, 1), which is their exact law given the counts.
+    """
+    n, rate, alpha = 10_000, 10.0, 5e-5
     rng = np.random.default_rng(seed)
-    counts = np.array([
-        len(mt.poisson_partition(1.0, 0.1, rng=rng)) for _ in range(10_000)
-    ])
-    mean = float(counts.mean())
-    sigma = math.sqrt(10.0) / math.sqrt(10_000)
-    lengths = np.concatenate([
-        np.diff(np.sort(rng.uniform(0, 100.0, size=rng.poisson(1000))))
-        for _ in range(3)
-    ])
-    ks = scipy.stats.kstest(lengths, "expon", args=(0, 0.1))
-    mean_dev = abs(mean - 11.0) + (1.0 if faulty else 0.0)
-    ok = mean_dev < 3 * sigma and ks.pvalue > 0.01
-    return ok, {"mean_parts": mean, "ks_pvalue": float(ks.pvalue)}
+    parts = [mt.poisson_partition(1.0, 1.0 / rate, rng=rng) for _ in range(n)]
+    lens = np.array([len(p) for p in parts])
+    cuts = int(lens.sum()) - n
+    if faulty:
+        cuts += n
+    law = scipy.stats.poisson(n * rate)
+    count_p = min(1.0, 2 * min(law.cdf(cuts), law.sf(cuts - 1)))
+    # every partition's np.cumsum(p)[:-1] at once: one running sum, each
+    # partition's offset taken off, each partition's endpoint t dropped
+    ends = np.cumsum(lens) - 1
+    running = np.cumsum(np.concatenate(parts))
+    offsets = np.repeat(np.concatenate(([0.0], running[ends[:-1]])), lens)
+    ks = scipy.stats.kstest(np.delete(running - offsets, ends), "uniform")
+    ok = count_p > alpha and ks.pvalue > alpha
+    return ok, {"cuts": cuts, "count_pvalue": float(count_p), "ks_pvalue": float(ks.pvalue)}
 
 
 def check_field_rotation(seed, faulty=False):
@@ -189,15 +220,13 @@ def check_field_rotation(seed, faulty=False):
     }
 
 
-def check_lattice_identities(seed, faulty=False):
-    import itertools
-    import random
-
+def check_lattice_identities(seed, faulty=False, scale="quick"):
+    per_n = {"quick": 10, "full": 40}[scale]
     rng = random.Random(seed)
     checked = 0
     for n in range(2, 7):
-        for _ in range(10):
-            possible = list(itertools.combinations(range(n), 2))
+        possible = list(itertools.combinations(range(n), 2))
+        for _ in range(per_n):
             k = rng.randrange(n - 1, len(possible) + 1)
             edges = tuple(rng.sample(possible, k))
             g = fl.Graph(n=n, edges=edges)
@@ -208,10 +237,10 @@ def check_lattice_identities(seed, faulty=False):
                 return False, {"edges": edges}
             checked += 1
     resid = max(
-        fl.gaussian_partition_identity(fl.grid_graph(L)).residual for L in (3, 4, 5)
+        fl.gaussian_partition_identity(fl.grid_graph(L)).residual for L in (3, 4, 5, 6)
     )
     c2 = fl.c_sle(2.0)
-    dual = abs(fl.c_sle(3.0) - fl.c_sle(16.0 / 3.0))
+    dual = max(abs(fl.c_sle(k) - fl.c_sle(16.0 / k)) for k in (0.7, 2.0, 3.0, 3.5, 6.0))
     ok = resid < 1e-10 and abs(c2 + 2.0) < 1e-12 and dual < 1e-12
     return ok, {"graphs_checked": checked, "partition_residual": resid}
 

@@ -537,7 +537,10 @@ def load_graph(text: str) -> Graph:
         else:
             edges.append(tuple(ids))
         max_v = max(max_v, *ids)
-    return Graph(n=max_v + 1, edges=tuple(edges), boundary=frozenset(boundary))
+    try:
+        return Graph(n=max_v + 1, edges=tuple(edges), boundary=frozenset(boundary))
+    except FieldsError as exc:
+        raise ParseError(f"not a valid graph: {exc}") from exc
 
 
 def dump_graph(g: Graph) -> str:

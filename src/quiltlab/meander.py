@@ -160,15 +160,6 @@ class Meander:
         return self.upper.m
 
 
-def make_meander(upper: ArcDiagram, lower: ArcDiagram) -> Meander:
-    if upper.m != lower.m:
-        raise SizeMismatch(f"sizes differ: {upper.m} vs {lower.m}")
-    order = _trace_loop(upper, lower)
-    if len(order) != 2 * upper.m - 1:
-        raise MeanderError("pair does not form a single loop")
-    return Meander(upper=upper, lower=lower, crossing_order=tuple(order))
-
-
 def enumerate_meanders(m: int):
     """All open meanders of size m (2m-1 crossings), by pair filtering.
 

@@ -394,7 +394,10 @@ def from_text(text: str) -> HalfEdgeMap:
         raise ParseError(f"malformed map text: {exc}") from exc
     if len(rows) != 2 * n_edges or any(len(r) != 2 for r in rows):
         raise ParseError("expected 2*E dart lines of 'next twin'")
-    return build_map([r[0] for r in rows], [r[1] for r in rows], 0)
+    try:
+        return build_map([r[0] for r in rows], [r[1] for r in rows], 0)
+    except MapError as exc:
+        raise ParseError(f"not a valid map: {exc}") from exc
 
 
 # --- small classical fixtures ----------------------------------------------------

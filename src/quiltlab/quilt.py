@@ -41,6 +41,7 @@ import numpy as np
 from . import planar_map as pm
 from .errors import (
     DisconnectedSelection,
+    MapError,
     MissingOrder,
     ParseError,
     SingularMap,
@@ -761,11 +762,6 @@ def template_iso(a: Template, b: Template):
     return {d: inv_b[la[d]] for d in range(a.map.n_darts)}
 
 
-def canonical_hole_order(t: Template):
-    """Hole face ids in first-encounter order of the rooted face BFS."""
-    return [f for f in _face_bfs_order(t) if f in t.holes]
-
-
 # --- serialization ---------------------------------------------------------------------
 
 
@@ -808,5 +804,8 @@ def template_from_text(text: str) -> Template:
             raise ParseError(f"unrecognized line {ln!r}")
     body = "\n".join(lines[: 1 + 2 * n_edges]) + "\n"
     m = pm.from_text(body)
-    m = pm.build_map(list(m.next_dart), [d ^ 1 for d in range(m.n_darts)], root)
-    return Template(map=m, marks=marks, holes=frozenset(holes), face_order=order)
+    try:
+        m = pm.build_map(list(m.next_dart), [d ^ 1 for d in range(m.n_darts)], root)
+        return Template(map=m, marks=marks, holes=frozenset(holes), face_order=order)
+    except (MapError, TemplateError) as exc:
+        raise ParseError(f"not a valid template: {exc}") from exc

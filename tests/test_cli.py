@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiltlab import _verify
 from quiltlab import fields as fl
 from quiltlab import planar_map as pm
 from quiltlab import quilt as qt
 from quiltlab.cli import _polyline_from_text, main
-from quiltlab.errors import QuiltLabError
+from quiltlab.errors import ParseError
 
 from conftest import build_template
 
@@ -191,8 +192,6 @@ def test_verify_all_budget_zero(tmp_path, capsys):
 
 
 def test_verify_all_timings_sidecar(tmp_path, capsys, monkeypatch):
-    from quiltlab import _verify
-
     quick = ("meander-counts", "meander-factorization", "product-bijection")
     monkeypatch.setattr(
         _verify, "CHECKS", tuple(c for c in _verify.CHECKS if c[0] in quick))
@@ -206,17 +205,16 @@ def test_verify_all_timings_sidecar(tmp_path, capsys, monkeypatch):
     assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
-def test_verify_all_fault_injection(tmp_path, capsys):
+@pytest.mark.parametrize("name", [name for name, _ in _verify.CHECKS])
+def test_verify_all_fault_injection(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.setattr(
+        _verify, "CHECKS", tuple(c for c in _verify.CHECKS if c[0] == name))
     out_path = tmp_path / "report.json"
     code, _, _ = run(
-        ["verify-all", "--inject-fault", "meander-counts", "--budget", "5",
-         "--out", str(out_path)],
-        capsys,
-    )
+        ["verify-all", "--inject-fault", name, "--out", str(out_path)], capsys)
     assert code == 1
     payload = json.loads(out_path.read_text())
-    statuses = {c["name"]: c["status"] for c in payload["checks"]}
-    assert statuses["meander-counts"] == "fail"
+    assert [(c["name"], c["status"]) for c in payload["checks"]] == [(name, "fail")]
 
 
 def test_template_file_write_read_write_identical(tmp_path):
@@ -247,7 +245,13 @@ def test_exit_codes_under_argv_fuzzing(argv):
     (["curvature", "--in"], b"foo\n"),
     (["fields", "kirchhoff", "--graph"], b"1\n"),
     (["quilt", "validate", "--in"], b"\xff\xfe\x00E=1"),
-], ids=["empty-template", "csv-foo", "edge-1", "binary-template"])
+    (["fields", "kirchhoff", "--graph"], b"1 1\n"),
+    (["quilt", "validate", "--in"], b"E=1\n0 0\n1 1\n"),
+    (["quilt", "validate", "--in"],
+     b"E=4\n7 1\n2 0\n4 3\n0 2\n1 5\n6 4\n5 7\n3 6\nROOT 0\nORDER 0 2 1\n"
+     b"MARKS 0 2\nMARKS 1 2 0\nMARKS 2 0 1 2\n"),
+], ids=["empty-template", "csv-foo", "edge-1", "binary-template", "self-loop",
+        "twin-fixes-dart", "mark-off-its-face"])
 def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, content):
     path = tmp_path / "input"
     path.write_bytes(content)
@@ -292,5 +296,5 @@ def test_readers_raise_only_quiltlab_errors(name, data):
     fuzzed = data.draw(st.one_of(corrupted(text), st.text(max_size=40)))
     try:
         reader(fuzzed)
-    except QuiltLabError:
+    except ParseError:
         pass

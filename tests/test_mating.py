@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from quiltlab import _verify as vf
 from quiltlab import mating as mt
 from quiltlab import quilt as qt
 from quiltlab.errors import (
@@ -162,6 +163,28 @@ def test_poisson_gap_law_ks(rng):
     ])
     ks = scipy.stats.kstest(lengths, "expon", args=(0, 0.1))
     assert ks.pvalue > 0.01
+
+
+def test_poisson_partition_check_passes_at_seeds_0_to_29():
+    # family-wise false-alarm rate <= 1e-4 per seed
+    assert [s for s in range(30) if not vf.check_poisson_partition(s)[0]] == []
+
+
+@pytest.mark.parametrize("defect", ["cut-times-warped", "rate-3pct-high"])
+def test_poisson_partition_check_catches_planted_defect(monkeypatch, defect):
+    honest = mt.poisson_partition
+
+    def warped(t, epsilon, seed=None, rng=None):
+        # cut times u -> u**1.03 on [0, 1]: right count, wrong positions
+        cuts = np.cumsum(honest(t, epsilon, rng=rng))[:-1] ** 1.03
+        return np.diff(np.concatenate(([0.0], cuts, [t])))
+
+    def fast(t, epsilon, seed=None, rng=None):
+        return honest(t, epsilon / 1.03, rng=rng)
+
+    planted = {"cut-times-warped": warped, "rate-3pct-high": fast}[defect]
+    monkeypatch.setattr(mt, "poisson_partition", planted)
+    assert not any(vf.check_poisson_partition(s)[0] for s in range(3))
 
 
 def test_extract_one_part_fixture():
