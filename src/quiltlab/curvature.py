@@ -157,31 +157,78 @@ def segments_intersect(p1, p2, q1, q2) -> bool:
     return False
 
 
+def nonadjacent_pairs(k: int, closed: bool):
+    """Index arrays (i, j), i < j, of the segment pairs of a k-segment curve
+    that share no endpoint.  Segment i runs from vertex i to vertex i + 1;
+    on a closed curve the last segment also meets the first."""
+    i, j = np.triu_indices(k, 2)
+    if closed:
+        keep = ~((i == 0) & (j == k - 1))
+        i, j = i[keep], j[keep]
+    return i, j
+
+
+def _orientation_signs(pts, n):
+    """Signs of ``_orient(pts[s], pts[s + 1], pts[v])`` for each of the first
+    n segments s (indices cyclic) and every vertex v, as an (n, len(pts))
+    int8 array; 0 where ``_orient``'s float filter cannot decide the sign.
+
+    The determinant is the same IEEE expression, operation for operation, so
+    every nonzero entry is the sign ``_orient`` returns.
+    """
+    a = pts[:n, None, :]
+    b = np.roll(pts, -1, axis=0)[:n, None, :]
+    bax, bay = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    cax, cay = pts[:, 0] - a[..., 0], pts[:, 1] - a[..., 1]
+    det = bax * cay - bay * cax
+    scale = np.maximum(
+        np.maximum(np.maximum(np.abs(bax), np.abs(cay)),
+                   np.maximum(np.abs(bay), np.abs(cax))),
+        1.0,
+    )
+    return np.where(np.abs(det) > _ORIENT_EPS * scale * scale,
+                    np.sign(det), 0.0).astype(np.int8)
+
+
+def _folds_back(a, b, d):
+    """Segments a-b and b-d meet somewhere besides their shared endpoint b."""
+    return (_orient(b, d, a) == 0 and _on_segment(b, d, a)) or (
+        _orient(a, b, d) == 0 and _on_segment(a, b, d)
+    )
+
+
 def is_simple(curve: PolygonalCurve) -> bool:
     """No two non-adjacent segments intersect; adjacent ones only share the
-    common endpoint.  O(k^2), fine at desk scale."""
+    common endpoint.
+
+    Every vertex is first oriented against every segment in floating point,
+    in one numpy pass, and the sign is accepted where |det| clears the
+    ``_ORIENT_EPS * scale**2`` filter of ``_orient``.  A non-adjacent pair
+    whose four orientations all clear it crosses iff they separate both
+    segments, and an adjacent pair whose two clear it does not fold back.
+    Every other pair is decided by the scalar test with its exact
+    ``Fraction`` fallback, so the answer is that of the exact pairwise test.
+    """
     segs = curve.segments()
     n = len(segs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (curve.closed and i == 0 and j == n - 1)
-            a, b = segs[i]
-            c, d = segs[j]
-            if adjacent:
-                # shared endpoint allowed; any further contact is a fold-back
-                shared = b if j == i + 1 else a
-                other_i = a if j == i + 1 else b
-                other_j = d if j == i + 1 else c
-                if _orient(c, d, other_i) == 0 and _on_segment(c, d, other_i):
-                    if other_i != shared:
-                        return False
-                if _orient(a, b, other_j) == 0 and _on_segment(a, b, other_j):
-                    if other_j != shared:
-                        return False
-                continue
-            if segments_intersect(a, b, c, d):
-                return False
-    return True
+    pts = curve.to_array()
+    nv = len(pts)
+    sign = _orientation_signs(pts, n)
+    # adjacent pairs (m, m + 1), cyclically on a closed curve
+    m = np.arange(n if curve.closed else n - 1)
+    nxt = (m + 1) % n
+    for r in np.flatnonzero(sign[nxt, m] * sign[m, (m + 2) % nv] == 0):
+        if _folds_back(*segs[m[r]], segs[nxt[r]][1]):
+            return False
+    i, j = nonadjacent_pairs(n, curve.closed)
+    s1, s2 = sign[i, j], sign[i, (j + 1) % nv]
+    s3, s4 = sign[j, i], sign[j, i + 1]
+    if np.any((s1 * s2 < 0) & (s3 * s4 < 0)):
+        return False
+    return not any(
+        segments_intersect(*segs[i[r]], *segs[j[r]])
+        for r in np.flatnonzero(s1 * s2 * s3 * s4 == 0)
+    )
 
 
 def verify_hopf(loop: PolygonalCurve) -> int:

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import PolygonalCurve, is_simple, total_turning, turning_angles
+from .curvature import (
+    PolygonalCurve,
+    is_simple,
+    nonadjacent_pairs,
+    total_turning,
+    turning_angles,
+)
 from .errors import EmbeddingDegenerate, InvalidChoice, TemplateError
 from .quilt import MarkedSubtemplate, Template
 
@@ -234,9 +240,7 @@ class GeomEmbedding:
         pts = np.array(self.boundary_points(face))
         k = len(pts)
         ends = np.roll(pts, -1, axis=0)  # segment i runs pts[i] -> pts[i + 1]
-        i, j = np.triu_indices(k, 2)
-        keep = ~((i == 0) & (j == k - 1))  # the last segment meets the first
-        i, j = i[keep], j[keep]
+        i, j = nonadjacent_pairs(k, closed=True)
         feat = float(min(
             np.linalg.norm(ends - pts, axis=1).min(),
             _seg_seg_distances(pts[i], ends[i], pts[j], ends[j]).min(initial=np.inf),
@@ -265,15 +269,13 @@ def embed_template(t: Template) -> GeomEmbedding:
     return GeomEmbedding(template=t, pos=_geometric_embed(t, pinned))
 
 
-def _polyline_interp(points, frac):
-    """Point at arc-length fraction ``frac`` along a polyline."""
-    segs = list(zip(points[:-1], points[1:]))
-    lens = [np.linalg.norm(b - a) for a, b in segs]
-    total = sum(lens)
-    target = frac * total
+def _polyline_interp(points, lens, frac):
+    """Point at arc-length fraction ``frac`` along a polyline whose segment
+    lengths are ``lens``."""
+    target = frac * sum(lens)
     run = 0.0
-    for (a, b), ln in zip(segs, lens):
-        if run + ln >= target or (a, b) is segs[-1]:
+    for a, b, ln in zip(points[:-1], points[1:], lens):
+        if run + ln >= target:
             u = 0.0 if ln == 0 else (target - run) / ln
             return a + (b - a) * min(max(u, 0.0), 1.0)
         run += ln
@@ -357,11 +359,13 @@ def _filling_embedding(geom: SubtemplateGeometry, filling):
         v_head = t.map.vertex_of[d ^ 1]
         poly = [geom.emb.vertex(v_tail), geom.emb.midpoint(d >> 1),
                 geom.emb.vertex(v_head)]
+        lens = [np.linalg.norm(b - a) for a, b in zip(poly[:-1], poly[1:])]
         k = len(path)
         for i, x in enumerate(path):
-            fv = fmap.vertex_of[x]
-            pinned.setdefault(("v", fv), _polyline_interp(poly, i / k))
-            pinned.setdefault(("m", x >> 1), _polyline_interp(poly, (i + 0.5) / k))
+            for key, frac in ((("v", fmap.vertex_of[x]), i / k),
+                              (("m", x >> 1), (i + 0.5) / k)):
+                if key not in pinned:
+                    pinned[key] = _polyline_interp(poly, lens, frac)
     return GeomEmbedding(
         template=filling.template,
         pos=_geometric_embed(filling.template, pinned),

@@ -191,3 +191,119 @@ def test_segment_intersection_exact_fallback():
     assert cv.segments_intersect(a, b, touch, (1.0, 1.0))
     above = (1.0, math.nextafter(h / 2, 1.0))  # one ulp off the segment
     assert not cv.segments_intersect(a, b, above, (1.0, 1.0))
+
+
+# --- simplicity: the filtered numpy test against the scalar pairwise oracle -------
+
+
+def _is_simple_oracle(curve):
+    """The scalar O(k^2) pairwise test: every segment pair in turn, each
+    orientation through ``_orient``'s exact fallback."""
+    segs = curve.segments()
+    n = len(segs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adjacent = j == i + 1 or (curve.closed and i == 0 and j == n - 1)
+            a, b = segs[i]
+            c, d = segs[j]
+            if adjacent:
+                # shared endpoint allowed; any further contact is a fold-back
+                shared = b if j == i + 1 else a
+                other_i = a if j == i + 1 else b
+                other_j = d if j == i + 1 else c
+                if cv._orient(c, d, other_i) == 0 and cv._on_segment(c, d, other_i):
+                    if other_i != shared:
+                        return False
+                if cv._orient(a, b, other_j) == 0 and cv._on_segment(a, b, other_j):
+                    if other_j != shared:
+                        return False
+                continue
+            if cv.segments_intersect(a, b, c, d):
+                return False
+    return True
+
+
+def _hopf_loops(seed):
+    """The 1,000 star loops of ``_verify.check_hopf`` at ``seed``."""
+    rng = random.Random(seed)
+    loops = []
+    for _ in range(1000):
+        k = rng.randrange(8, 51)
+        ccw = rng.random() < 0.5
+        loops.append(cv.star_polygon(k, rng, ccw=ccw))
+    return loops
+
+
+def _near_degenerate_curves():
+    """The 2e-17-scale pair of the exact-fallback test inside longer curves:
+    the last segment ends exactly on the first, or one ulp above it."""
+    h = 2e-17
+    curves = []
+    for y, simple in ((h / 2, False), (math.nextafter(h / 2, 1.0), True)):
+        pts = ((0.0, 0.0), (2.0, h), (2.0, 3.0), (1.0, 1.0), (1.0, y))
+        curves.append((cv.PolygonalCurve(vertices=pts), simple))
+        curves.append((cv.PolygonalCurve(vertices=pts).reverse(), simple))
+        shifted = ((-1.0, -1.0),) + pts
+        curves.append((cv.PolygonalCurve(vertices=shifted), simple))
+    return curves
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_is_simple_matches_oracle_on_hopf_loops(seed):
+    for loop in _hopf_loops(seed):  # star-shaped, so simple
+        assert cv.is_simple(loop) and _is_simple_oracle(loop)
+
+
+def test_is_simple_matches_oracle_on_integer_curves():
+    # small integer grids give collinear overlaps, touching vertices and
+    # repeated points; a 1e-13 jitter puts points within the float filter
+    rnd = random.Random(11)
+    checked = simple = 0
+    for trial in range(6000):
+        k = rnd.randrange(2, 10)
+        pts = [(rnd.randrange(6), rnd.randrange(6)) for _ in range(k)]
+        if trial % 3 == 2:
+            pts = [(x + rnd.uniform(-1e-13, 1e-13), y) for x, y in pts]
+        try:
+            curve = cv.PolygonalCurve(vertices=tuple(pts), closed=rnd.random() < 0.5)
+        except DegenerateSegment:
+            continue
+        want = _is_simple_oracle(curve)
+        assert cv.is_simple(curve) == want, curve
+        checked += 1
+        simple += want
+    assert checked > 4000 and 0 < simple < checked
+
+
+@pytest.mark.parametrize("pts, closed, simple", [
+    (((0, 0), (2, 0), (1, 0)), False, False),            # folds back onto itself
+    (((0, 0), (1, 0), (0, 0), (0, 1)), False, False),    # retraces exactly
+    (((0, 0), (1, 0), (2, 0)), False, True),             # straight continuation
+    (((1, 0), (2, 0), (2, 1), (3, 0)), True, False),     # closing segment overlaps
+    (((1, 0), (2, 0), (2, 1), (0, 0)), True, True),      # closing segment continues
+    (((0, 0), (1, 0)), True, False),                     # two-vertex closed curve
+])
+def test_is_simple_adjacent_fold_backs(pts, closed, simple):
+    curve = cv.PolygonalCurve(vertices=pts, closed=closed)
+    assert cv.is_simple(curve) == _is_simple_oracle(curve) == simple
+
+
+def test_is_simple_exact_on_near_degenerate_pairs():
+    for curve, simple in _near_degenerate_curves():
+        assert cv.is_simple(curve) == _is_simple_oracle(curve) == simple
+
+
+def test_is_simple_sends_undecided_pairs_to_the_exact_test(monkeypatch):
+    calls = []
+    exact = cv.segments_intersect
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(cv, "segments_intersect", counted)
+    assert all(cv.is_simple(loop) for loop in _hopf_loops(0)[:50])
+    assert calls == []  # star loops clear the filter everywhere
+    curve, simple = _near_degenerate_curves()[0]
+    assert cv.is_simple(curve) == simple
+    assert ((0.0, 0.0), (2.0, 2e-17), (1.0, 1.0), (1.0, 1e-17)) in calls
