@@ -320,7 +320,14 @@ def random_orthogonal(n: int, rng) -> np.ndarray:
 # --- exact determinants and the matrix-tree theorem ---------------------------------
 
 def bareiss_determinant(matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    """Exact integer determinant by fraction-free (Bareiss) elimination.
+
+    A row whose entry in the pivot column is 0 is skipped while the pivot
+    equals the previous one, since the update would leave it unchanged; in
+    that case the other rows are updated only in the pivot row's nonzero
+    columns.  On sparse matrices such as the side-length maps most rows and
+    columns are skipped, and the answer is the one the dense loop gives.
+    """
     a = [[int(x) for x in row] for row in matrix]
     n = len(a)
     if any(len(row) != n for row in a):
@@ -338,11 +345,18 @@ def bareiss_determinant(matrix) -> int:
                     break
             else:
                 return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        same = pivot == prev
+        cols = [j for j in range(k + 1, n) if pivot_row[j] or not same]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+            row = a[i]
+            f = row[k]
+            if f or not same:
+                for j in cols:
+                    row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+                row[k] = 0
+        prev = pivot
     return sign * a[n - 1][n - 1]
 
 

@@ -2,7 +2,8 @@
 
 Pipeline: sample a correlated two-dimensional Gaussian bridge from (0, 1)
 to (0, 0) conditioned (by rejection) to stay in the closed quadrant, cut
-its time axis by a Poisson process, read off per-cell boundary lengths from
+its time axis by a Poisson process, refine the walk at the cut times with
+sub-grid bridge values and minima, read off per-cell boundary lengths from
 increments and running infima, and assemble the quilt.
 
 Conventions and proxies, documented once:
@@ -19,14 +20,19 @@ Conventions and proxies, documented once:
   on the quadrant.  This replaces endpoint-ball rejection, which is
   infeasible at these step counts.  Seeded walks and quilts differ from
   versions that drew every proposal in full; the law is the same.
-* infima are taken over grid points only; refinement error scales with the
-  step size.
+* between two neighbouring points the walk is, coordinate by coordinate, a
+  Brownian bridge conditioned to stay >= 0: the value at each Poisson cut
+  time and the minimum over each sub-interval are drawn from that law
+  (:func:`refine_walk`), with no snapping to the grid and no redraw.  The
+  coordinates are treated separately, which is exact at gamma = sqrt 2
+  (correlation 0); at other gamma it ignores the cross-dependence of L and
+  R within one step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,16 +84,32 @@ def mot_params(gamma, epsilon, steps, seed, duration=1.0) -> MotParams:
 
 @dataclass
 class ConeWalk:
-    """Discrete bridge (L_t, R_t) from (0, 1) to (0, 0) in the quadrant."""
+    """Discrete bridge (L_t, R_t) from (0, 1) to (0, 0) in the quadrant.
+
+    ``L_min`` and ``R_min`` hold the minimum of each coordinate over each
+    sub-interval [times[k], times[k+1]] of a refined walk
+    (:func:`refine_walk`); on a grid-only walk they are None and the minima
+    are read at the points.
+    """
 
     times: np.ndarray
     L: np.ndarray
     R: np.ndarray
     rejections: int = 0
+    L_min: np.ndarray | None = None
+    R_min: np.ndarray | None = None
 
     @property
     def duration(self):
         return float(self.times[-1])
+
+    def sub_minima(self):
+        """(L, R) minima over each sub-interval between consecutive points."""
+        if self.L_min is not None:
+            return self.L_min, self.R_min
+        L = np.asarray(self.L, dtype=float)
+        R = np.asarray(self.R, dtype=float)
+        return np.minimum(L[:-1], L[1:]), np.minimum(R[:-1], R[1:])
 
     def in_quadrant(self, through=None):
         """min(L) >= 0 and min(R) >= 0 up to grid index ``through`` (inclusive)."""
@@ -278,8 +300,8 @@ class CellLengths:
         return ok and all(d <= 0.0 for d in deficits)
 
     def degenerate(self):
-        """A zero cell side or zero cone margin: probability zero in the
-        continuum, a grid artifact here; the partition is resampled."""
+        """A zero cell side or zero cone margin: probability zero under the
+        sub-grid law of :func:`refine_walk`."""
         vals = [self.l0_plus, self.r0_minus, self.r0_plus,
                 self.l_end_minus, self.r_end_minus]
         if self.interior.size:
@@ -287,53 +309,136 @@ class CellLengths:
         return min(vals) <= 0.0 or float(self.sn2_margins().min()) <= 0.0
 
 
-def _snap_parts_to_grid(walk: ConeWalk, parts):
-    """Poisson cut times mapped to interior grid indices (duplicates merged)."""
-    parts = np.asarray(parts, dtype=float)
-    total = float(parts.sum())
-    if abs(total - walk.duration) > 1e-9 * max(1.0, walk.duration):
-        raise PartitionMismatch(
-            f"parts sum to {total}, walk duration is {walk.duration}"
-        )
-    cuts = np.cumsum(parts)[:-1]
-    n = len(walk.times) - 1
-    dt = walk.duration / n
-    idx = np.rint(cuts / dt).astype(int)
-    idx = np.clip(idx, 1, n - 1)
-    idx = np.unique(idx)
-    merged = (len(cuts) - len(idx))
-    return idx, merged
+def _log_survival(c, x):
+    """(log h, d log h / dx) at x > 0 of h = 1 - exp(-c x), and of h = x
+    where c = 0.
 
-
-def extract_cell_lengths(walk: ConeWalk, parts) -> CellLengths:
-    """Cell boundary lengths from increments and running infima.
-
-    Part boundaries snap to the walk grid (collisions merge parts and are
-    counted by the caller via :func:`_snap_parts_to_grid`).
+    1 - exp(-2 a x / (var u)) is the probability that a Brownian bridge
+    from a to x over time u stays >= 0; at a = 0 it vanishes, and x, the
+    limit of h / c, is the h-transform that replaces it.  log h is concave
+    in x.
     """
-    idx, _merged = _snap_parts_to_grid(walk, parts)
-    return cell_lengths_at(walk, idx)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cx = c * x
+        log_h = np.where(c > 0, np.log(-np.expm1(-cx)), np.log(x))
+        slope = np.where(c > 0, c / np.expm1(cx), 1.0 / x)
+    return log_h, slope
 
 
-def _cell_minima(walk: ConeWalk, cut_indices):
-    """(L, R, bounds, low_l, low_r): the cell bounds 0, cuts..., n and the
-    minima of L and R over each closed cell [bounds[i], bounds[i+1]]."""
+def _bridge_cut_values(a, b, u1, u2, var, rng):
+    """Values at time u1 of Brownian bridges (variance ``var`` per unit
+    time) from a at time 0 to b at time u1 + u2, conditioned to stay >= 0.
+
+    The density is proportional to phi(x) h_a(x) h_b(x) on x > 0, phi the
+    bridge's N(mu, s^2) marginal and h the survival factors of
+    :func:`_log_survival`.  Their log S is concave, so the tangent at any
+    x0 bounds it: S(x) <= S(x0) + S'(x0) (x - x0).  The proposal is phi
+    times that exponential, which is N(mu + s^2 S'(x0), s^2), accepted with
+    probability exp(S(x) - S(x0) - S'(x0) (x - x0)).  x0 is the mode of
+    phi(x) x^2, which bounds the target's mode from above, so that
+    |S'(x0)| s stays bounded and the acceptance stays bounded below for all
+    (a, b, u1, u2), endpoints at or near 0 included.  Returns (values,
+    tries), tries the proposals drawn for each value.
+    """
+    tau = u1 + u2
+    mu = a + (b - a) * (u1 / tau)
+    s2 = var * u1 * u2 / tau
+    ca, cb = 2.0 * a / (var * u1), 2.0 * b / (var * u2)
+    x0 = 0.5 * (mu + np.sqrt(mu * mu + 8.0 * s2))
+    (ha, da), (hb, db) = _log_survival(ca, x0), _log_survival(cb, x0)
+    log_h0, slope0 = ha + hb, da + db
+    mean, sd = mu + s2 * slope0, np.sqrt(s2)
+    out = np.empty_like(mu)
+    tries = np.zeros(mu.shape, dtype=int)
+    todo = np.arange(mu.size)
+    while todo.size:
+        tries[todo] += 1
+        x = mean[todo] + sd[todo] * rng.standard_normal(todo.size)
+        log_u = np.log(rng.random(todo.size))
+        pos = x > 0.0
+        xp = np.where(pos, x, 1.0)
+        (ha, _), (hb, _) = _log_survival(ca[todo], xp), _log_survival(cb[todo], xp)
+        gap = ha + hb - log_h0[todo] - slope0[todo] * (xp - x0[todo])
+        ok = pos & (log_u <= gap)
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return out, tries
+
+
+def _bridge_minima(a, b, tau, var, rng):
+    """Minima of Brownian bridges from a to b over time tau, conditioned to
+    stay >= 0, by inversion of
+    P(min > m) = (1 - e^{-2(a-m)(b-m)/(var tau)}) / (1 - e^{-2ab/(var tau)}).
+
+    With U uniform, q = (a-m)(b-m) = -(c/2) log(1 - U (1 - e^{-y})) and
+    ab - q = (c/2) log(1 + (1-U)(e^y - 1)), c = var tau and y = 2ab/c; the
+    smaller root is written as 2(ab - q) / (a + b + sqrt((a-b)^2 + 4q)),
+    so no difference of close numbers is taken and the minimum lies
+    strictly in (0, min(a, b)) when a, b > 0.  It is 0 where a or b is 0.
+    """
+    c = var * tau
+    ab = a * b
+    y = 2.0 * ab / c
+    u = rng.random(np.shape(a))
+    q = -0.5 * c * np.log1p(u * np.expm1(-y))
+    # (1-U)(e^y - 1) overflows past y = 700, where e^{-y} no longer counts
+    gap = np.where(y > 700.0, ab + 0.5 * c * np.log1p(-u),
+                   0.5 * c * np.log1p((1.0 - u) * np.expm1(np.minimum(y, 700.0))))
+    den = a + b + np.sqrt((a - b) ** 2 + 4.0 * q)
+    return np.where(ab > 0.0, 2.0 * gap / np.where(den > 0.0, den, 1.0), 0.0)
+
+
+def refine_walk(walk: ConeWalk, cuts, variance, rng):
+    """The walk refined at the cut times, with its sub-interval minima.
+
+    Each coordinate, between two neighbouring points, is a Brownian bridge
+    of the given variance per unit time conditioned to stay >= 0.  The
+    value at each cut time is drawn given its left neighbour (a grid point
+    or an earlier cut of the same grid step) and the next grid point, which
+    is exact by the Markov property; then the minimum over each sub-interval
+    of the refined walk.  Returns (refined walk, index of each cut in it).
+    """
+    times = np.asarray(walk.times, dtype=float)
+    cuts = np.unique(np.asarray(cuts, dtype=float))
+    if cuts.size and not (0.0 < cuts[0] and cuts[-1] < times[-1]):
+        raise PartitionMismatch("cut times must lie strictly inside the walk")
+    grid = np.column_stack((walk.L, walk.R)).astype(float)
+    if not grid.min() >= 0.0:
+        raise MatingError("refine_walk needs a walk in the closed quadrant")
+    t = np.union1d(times, cuts)
+    at_grid = np.searchsorted(t, times)
+    vals = np.empty((t.size, 2))
+    vals[at_grid] = grid
+    new = np.setdiff1d(cuts, times, assume_unique=True)
+    if new.size:
+        at_new = np.searchsorted(t, new)
+        step = np.searchsorted(times, new) - 1  # the grid step holding each cut
+        right = at_grid[step + 1]
+        rank = at_new - at_grid[step] - 1  # earlier cuts in the same step
+        for r in range(int(rank.max()) + 1):
+            p, q = at_new[rank == r], right[rank == r]
+            x, _ = _bridge_cut_values(
+                vals[p - 1].ravel(), vals[q].ravel(), np.repeat(t[p] - t[p - 1], 2),
+                np.repeat(t[q] - t[p], 2), variance, rng)
+            vals[p] = x.reshape(-1, 2)
+    low = _bridge_minima(vals[:-1], vals[1:], np.diff(t)[:, None], variance, rng)
+    refined = ConeWalk(times=t, L=vals[:, 0].copy(), R=vals[:, 1].copy(),
+                       rejections=walk.rejections,
+                       L_min=low[:, 0].copy(), R_min=low[:, 1].copy())
+    return refined, np.searchsorted(t, cuts)
+
+
+def cell_lengths_at(walk: ConeWalk, cut_indices) -> CellLengths:
+    """Cell lengths with the cuts at the given interior point indices: each
+    cell's minima are those of its sub-intervals (:meth:`ConeWalk.sub_minima`)."""
     L = np.asarray(walk.L, dtype=float)
     R = np.asarray(walk.R, dtype=float)
     bounds = np.concatenate(([0], np.asarray(cut_indices, dtype=int), [len(L) - 1]))
     if (bounds[1:] <= bounds[:-1]).any():
         raise PartitionMismatch("cut indices must be strictly increasing")
-    inner = bounds[1:-1]
-    low_l = np.minimum.reduceat(L, bounds[:-1])
-    low_l[:-1] = np.minimum(low_l[:-1], L[inner])
-    low_r = np.minimum.reduceat(R, bounds[:-1])
-    low_r[:-1] = np.minimum(low_r[:-1], R[inner])
-    return L, R, bounds, low_l, low_r
-
-
-def cell_lengths_at(walk: ConeWalk, cut_indices) -> CellLengths:
-    """Cell lengths with the cuts at the given interior grid indices."""
-    L, R, bounds, low_l, low_r = _cell_minima(walk, cut_indices)
+    sub_l, sub_r = walk.sub_minima()
+    low_l = np.minimum.reduceat(sub_l, bounds[:-1])
+    low_r = np.minimum.reduceat(sub_r, bounds[:-1])
     a, b = bounds[1:-2], bounds[2:-1]
     ml, mr = low_l[1:-1], low_r[1:-1]
     interior = np.column_stack((L[a] - ml, L[b] - ml, R[a] - mr, R[b] - mr))
@@ -351,23 +456,6 @@ def cell_lengths_at(walk: ConeWalk, cut_indices) -> CellLengths:
     )
 
 
-def _has_zero_side(walk: ConeWalk, cut_indices):
-    """Whether a cell side that ``CellLengths.degenerate`` checks is <= 0.
-
-    The sides come from the same float operations as the fields of
-    :func:`cell_lengths_at`, so True here implies ``degenerate()`` there; a
-    cheap first screen of a partition before its cell lengths are built.
-    """
-    L, R, bounds, low_l, low_r = _cell_minima(walk, cut_indices)
-    a, b = bounds[:-1], bounds[1:]
-    sides = np.concatenate((
-        (R[a] - low_r)[:-1], (R[b] - low_r)[:-1],  # r-, r+ of all but the last cell
-        (L[a] - low_l)[1:-1], (L[b] - low_l)[1:-1],  # l-, l+ of the interior cells
-        (L[b[0]] - L[0], L[a[-1]] - L[-1], R[a[-1]] - R[-1]),  # l0+, l_end-, r_end-
-    ))
-    return bool(sides.min() <= 0.0)
-
-
 def build_quilt(cells: CellLengths):
     """Quilt of the cell decomposition; template passes the validity report."""
     return build_quilt_from_cells(cells)
@@ -382,38 +470,31 @@ class SimulationResult:
 
 
 def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
-    """End-to-end pipeline: walk -> Poisson parts -> cell lengths -> quilt.
+    """End-to-end pipeline: walk -> Poisson parts -> refined walk -> cell
+    lengths -> quilt.
 
     Deterministic given (params, seed): all randomness flows from one
-    generator seeded by ``p.seed``.  The provenance counts the walks drawn
-    for this quilt (``walks``, walks abandoned after 50 degenerate
-    partitions included), the proposals rejected before them and the
-    partitions redrawn.
+    generator seeded by ``p.seed``.  One walk is drawn, and the partition is
+    redrawn only while it has fewer than 2 parts, so the kept part count is
+    1 + Poisson(t / epsilon) conditioned on at least one cut.  The
+    provenance counts the walks (always 1), the proposals rejected before
+    the walk and the partitions redrawn (``partition_resamples``);
+    ``snap_merges`` is always 0: cuts are not snapped to the grid.
+    Raises MatingError if the cells come out degenerate, which has
+    probability zero under the sub-grid law.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
+    walk = sample_cone_walk(p, rng=rng)
     resamples = 0
-    rejections = 0
-    cells = None
-    for walks in range(1, 201):
-        walk = sample_cone_walk(p, rng=rng)
-        rejections += walk.rejections
-        for _ in range(50):
-            parts = poisson_partition(walk.duration, p.epsilon, rng=rng)
-            if len(parts) < 2:
-                resamples += 1
-                continue
-            idx, merged = _snap_parts_to_grid(walk, parts)
-            if not _has_zero_side(walk, idx):
-                candidate = cell_lengths_at(walk, idx)
-                if not candidate.degenerate():
-                    cells = candidate
-                    break
-            resamples += 1
-        if cells is not None:
-            break
-    if cells is None:
-        raise RejectionBudgetExceeded("could not draw a nondegenerate partition")
+    parts = poisson_partition(walk.duration, p.epsilon, rng=rng)
+    while len(parts) < 2:
+        resamples += 1
+        parts = poisson_partition(walk.duration, p.epsilon, rng=rng)
+    refined, idx = refine_walk(walk, np.cumsum(parts)[:-1], p.variance, rng)
+    cells = cell_lengths_at(refined, idx)
+    if cells.degenerate():
+        raise MatingError("degenerate cell lengths from the sub-grid refinement")
     quilt, collisions = build_quilt(cells)
     provenance = {
         "gamma": p.gamma,
@@ -421,14 +502,14 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
         "steps": p.steps,
         "seed": p.seed,
         "duration": p.duration,
-        "rejections": rejections,
-        "walks": walks,
+        "rejections": walk.rejections,
+        "walks": 1,
         "poisson_parts": int(len(parts)),
-        "partition_resamples": int(resamples),
-        "snap_merges": int(merged),
+        "partition_resamples": resamples,
+        "snap_merges": 0,
         "length_collisions": int(collisions),
     }
-    return SimulationResult(quilt=quilt, cells=cells, walk=walk, provenance=provenance)
+    return SimulationResult(quilt=quilt, cells=cells, walk=refined, provenance=provenance)
 
 
 @dataclass(frozen=True)

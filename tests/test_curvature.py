@@ -78,14 +78,17 @@ def test_open_curve_rejected_by_hopf():
         cv.verify_hopf(c)
 
 
-def test_hopf_violation_detected():
-    # a figure-eightish closed curve that is simple as drawn cannot exist;
-    # instead check that tampered tolerance trips on a near-collapsed loop
+def test_hopf_violation_detected(monkeypatch):
     sliver = cv.PolygonalCurve(
         vertices=((0, 0), (1, 1e-12), (2, 0), (1, 1)), closed=True
     )
     # still a simple quadrilateral: Hopf holds
     assert cv.verify_hopf(sliver) in (-1, 1)
+    # a total turning 10 tolerances off 2*pi on a simple loop is a violation
+    tol = cv.HOPF_TOL_PER_VERTEX * len(sliver.vertices)
+    monkeypatch.setattr(cv, "total_turning", lambda loop: 2 * math.pi + 10 * tol)
+    with pytest.raises(HopfViolation):
+        cv.verify_hopf(sliver)
 
 
 def test_degenerate_cusp_raises():

@@ -7,6 +7,8 @@ import pytest
 import scipy.integrate
 
 from quiltlab import fields as fl
+from quiltlab import mating as mt
+from quiltlab import quilt as qt
 from quiltlab.errors import (
     Disconnected,
     FieldsError,
@@ -260,6 +262,84 @@ def test_bareiss_exactness():
     assert fl.bareiss_determinant(m) == 4
     assert fl.bareiss_determinant([[0, 1], [1, 0]]) == -1
     assert fl.bareiss_determinant([[1, 2], [2, 4]]) == 0
+
+
+def _dense_bareiss(matrix):
+    """Reference: the dense Bareiss loop, every row and column updated."""
+    a = [[int(x) for x in row] for row in matrix]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def test_bareiss_matches_dense_oracle_on_random_matrices():
+    rng = np.random.default_rng(0)
+    swaps = 0
+    for i in range(2000):
+        n = int(rng.integers(1, 9))
+        if i % 2:
+            m = (rng.random((n, n)) < rng.uniform(0.1, 0.6)).astype(int)
+        else:
+            m = rng.integers(-3, 4, size=(n, n))
+            m[rng.random((n, n)) < 0.4] = 0
+        if i % 5 == 0 and n > 1:
+            m[0, 0] = 0  # a zero first pivot: a row swap or a zero column
+        rows = m.tolist()
+        swaps += rows[0][0] == 0 and any(r[0] for r in rows[1:])
+        assert fl.bareiss_determinant(rows) == _dense_bareiss(rows) == round(np.linalg.det(m))
+    assert swaps > 100
+
+
+def test_bareiss_matches_dense_oracle_on_reduced_laplacians():
+    rnd = random.Random(3)
+    graphs = [fl.grid_graph(L) for L in (3, 4, 5, 6)]
+    graphs += [fl.star_graph_with_boundary(k) for k in (3, 4, 6)]
+    for n in range(2, 12):
+        pairs = list(itertools.combinations(range(n), 2))
+        for _ in range(20):
+            g = fl.Graph(n=n, edges=tuple(rnd.sample(pairs, rnd.randrange(n - 1, len(pairs) + 1))))
+            if g.is_connected():
+                graphs.append(g)
+    for g in graphs:
+        m = fl.reduced_laplacian(g, 0)
+        assert fl.bareiss_determinant(m) == _dense_bareiss(m)
+    assert len(graphs) > 150
+
+
+def test_bareiss_matches_dense_oracle_on_quilt_side_length_maps(monkeypatch):
+    # the side-length matrices of 1,000 quilts at the criterion-7 parameters
+    matrices = []
+    exact = qt.bareiss_determinant
+
+    def recorded(matrix):
+        matrices.append([list(row) for row in matrix])
+        return exact(matrix)
+
+    monkeypatch.setattr(qt, "bareiss_determinant", recorded)
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 5)
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        qt.side_length_map_determinant(mt.simulate_discretized_disk(p, rng=rng).quilt.template)
+    assert len(matrices) == 1000
+    for m in matrices:
+        assert fl.bareiss_determinant(m) == _dense_bareiss(m)
 
 
 # --- Gaussian partition identity ------------------------------------------------------

@@ -230,7 +230,7 @@ def test_cone_containment_iff_sn2(rng):
         cells = mt.cell_lengths_at(walk, cuts)
         in_cone = walk.in_quadrant()
         if cells.degenerate() and in_cone:
-            continue  # grid tie; resampled upstream in the pipeline
+            continue  # a grid tie: the pipeline reads sub-grid minima instead
         assert cells.sn2_satisfied() == in_cone
         checked_in += in_cone
         checked_out += not in_cone
@@ -283,27 +283,6 @@ def test_cell_lengths_equal_slice_oracle(rng):
     assert cases == 1800
 
 
-@pytest.mark.parametrize(
-    "gamma,steps", [(0.5, 6), (1.0, 16), (math.sqrt(2), 64), (1.8, 128)])
-def test_zero_side_screen_only_rejects_degenerate(gamma, steps):
-    p = mt.mot_params(gamma, 0.25, steps, 13)
-    rng = np.random.default_rng(13)
-    screened = passed = 0
-    for _ in range(20):
-        walk = mt.sample_cone_walk(p, rng=rng)
-        for _ in range(40):
-            parts = mt.poisson_partition(walk.duration, p.epsilon, rng=rng)
-            if len(parts) < 2:
-                continue
-            idx, _ = mt._snap_parts_to_grid(walk, parts)
-            if mt._has_zero_side(walk, idx):
-                assert mt.cell_lengths_at(walk, idx).degenerate()
-                screened += 1
-            else:
-                passed += 1
-    assert screened > 0 and passed > 0
-
-
 def test_build_quilt_minimal_reproduces_lengths():
     times = np.linspace(0, 1, 5)
     L = np.array([0.0, 0.4, 0.3, 0.5, 0.0])
@@ -333,9 +312,9 @@ def test_partition_mismatch():
     times = np.linspace(0, 1, 5)
     walk = mt.ConeWalk(times=times, L=np.zeros(5), R=np.ones(5))
     with pytest.raises(PartitionMismatch):
-        mt.extract_cell_lengths(walk, [0.4, 0.4])
-    with pytest.raises(PartitionMismatch):
         mt.cell_lengths_at(walk, [3, 2])
+    with pytest.raises(PartitionMismatch):
+        mt.refine_walk(walk, [0.5, 1.0], 2.0, np.random.default_rng(0))
 
 
 def test_pipeline_deterministic_and_valid():
@@ -385,7 +364,7 @@ def test_json_provenance_round_trip():
 
 
 def test_provenance_counts_walks(monkeypatch):
-    # walks abandoned after 50 degenerate partitions count too
+    # one walk per quilt: no walk is abandoned
     p = mt.mot_params(math.sqrt(2), 0.15, 64, 5)
     calls = []
     draw = mt.sample_cone_walk
@@ -399,4 +378,160 @@ def test_provenance_counts_walks(monkeypatch):
     total = 0
     for _ in range(40):
         total += mt.simulate_discretized_disk(p, rng=rng).provenance["walks"]
-    assert total == len(calls) > 40
+    assert total == len(calls) == 40
+
+
+# --- the sub-grid law: cut values, minima, and the kept part count ---------------------
+
+VAR = 2.0  # the variance per unit time at gamma = sqrt 2
+SUB_N = 20_000
+SUB_ALPHA = 1e-4  # per KS test; nine tests, family-wise false-alarm rate <= 9e-4
+
+# (a, b, u1, u2): endpoint values and the times from each endpoint to the cut
+CUT_CASES = [
+    (0.0, 0.3, 0.004, 0.012),   # left endpoint at 0: the h-transformed density
+    (1e-8, 0.3, 0.008, 0.008),  # left endpoint just above 0
+    (0.0, 0.0, 0.01, 0.01),     # both at 0
+    (0.05, 0.2, 0.01, 0.005),
+    (1.0, 1.2, 0.01, 0.006),    # far from 0: nearly the plain bridge marginal
+]
+# (a, b, tau): endpoint values and the sub-interval's duration
+MIN_CASES = [
+    (0.3, 0.2, 1 / 64),
+    (1e-8, 0.3, 1 / 64),
+    (1.0, 1.5, 1 / 64),
+    (3.0, 3.0, 1e-3),  # 2ab / (var tau) = 9000: the large-exponent branch
+]
+
+
+def _cut_value_cdf(a, b, u1, u2):
+    """CDF of the stated cut-value density by trapezoid quadrature on a fine
+    grid: phi(x) (1 - e^{-2ax/(var u1)}) (1 - e^{-2bx/(var u2)}) on x > 0,
+    a factor replaced by x where its endpoint is 0."""
+    tau = u1 + u2
+    mu, s = a + (b - a) * u1 / tau, math.sqrt(VAR * u1 * u2 / tau)
+    x = np.linspace(0.0, mu + 12 * s, 200_001)
+
+    def factor(end, u):
+        return x if end == 0 else -np.expm1(-2 * end * x / (VAR * u))
+
+    dens = np.exp(-0.5 * ((x - mu) / s) ** 2) * factor(a, u1) * factor(b, u2)
+    cdf = scipy.integrate.cumulative_trapezoid(dens, x, initial=0.0)
+    return lambda v: np.interp(v, x, cdf / cdf[-1])
+
+
+def _stated_min_cdf(a, b, tau):
+    """P(min <= m) = 1 - (1 - e^{-2(a-m)(b-m)/(var tau)}) / (1 - e^{-2ab/(var tau)})."""
+    c = VAR * tau
+    lo = min(a, b)
+
+    def cdf(m):
+        m = np.clip(m, 0.0, lo)
+        return 1.0 + np.expm1(-2 * (a - m) * (b - m) / c) / -np.expm1(-2 * a * b / c)
+
+    return cdf
+
+
+def _cut_values_and_pvalue(case):
+    full = [np.full(SUB_N, v) for v in case]
+    x, tries = mt._bridge_cut_values(*full, VAR, np.random.default_rng(11))
+    return x, tries, scipy.stats.kstest(x, _cut_value_cdf(*case)).pvalue
+
+
+@pytest.mark.parametrize("case", CUT_CASES)
+def test_cut_values_match_quadrature(case):
+    x, tries, pvalue = _cut_values_and_pvalue(case)
+    assert (x > 0).all()
+    assert pvalue > SUB_ALPHA
+    # the tangent proposal accepts with probability bounded below (>= 0.5
+    # here), so tries per cut stay small even at an endpoint at or near 0
+    assert tries.mean() < 2.0 and tries.max() <= 40
+
+
+def test_cut_value_check_catches_dropped_survival_factors(monkeypatch):
+    # planted: no survival factors, which leaves the plain bridge marginal cut at 0
+    monkeypatch.setattr(mt, "_log_survival", lambda c, x: (np.zeros_like(x),) * 2)
+    assert _cut_values_and_pvalue(CUT_CASES[0])[2] <= SUB_ALPHA
+
+
+@pytest.mark.parametrize("case", MIN_CASES)
+def test_minima_match_stated_cdf(case):
+    a, b, tau = case
+    full = [np.full(SUB_N, v) for v in case]
+    m = mt._bridge_minima(*full, VAR, np.random.default_rng(12))
+    assert ((m > 0) & (m < min(a, b))).all()
+    assert scipy.stats.kstest(m, _stated_min_cdf(a, b, tau)).pvalue > SUB_ALPHA
+
+
+def test_minima_zero_at_a_zero_endpoint():
+    m = mt._bridge_minima(np.array([0.0, 0.4]), np.array([0.3, 0.0]),
+                          np.full(2, 1 / 64), VAR, np.random.default_rng(0))
+    assert (m == 0.0).all()
+
+
+def test_refined_walk_keeps_grid_and_brackets_minima(rng):
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 3)
+    walk = mt.sample_cone_walk(p, rng=rng)
+    step = walk.times[1]
+    cuts = [0.3 * step, 0.6 * step, 5 * step, 40.5 * step]  # two in step 0, one on the grid
+    refined, idx = mt.refine_walk(walk, cuts, p.variance, rng)
+    assert len(refined.times) == len(walk.times) + 3
+    assert np.array_equal(refined.times[idx], cuts)
+    on_grid = np.isin(refined.times, walk.times)
+    assert np.array_equal(refined.L[on_grid], walk.L) and np.array_equal(refined.R[on_grid], walk.R)
+    assert (refined.L[idx] > 0).all() and (refined.R[idx] > 0).all()
+    for vals, low in ((refined.L, refined.L_min), (refined.R, refined.R_min)):
+        ends = np.minimum(vals[:-1], vals[1:])
+        assert ((low < ends) | ((low == 0) & (ends == 0))).all() and (low >= 0).all()
+    cells = mt.cell_lengths_at(refined, idx)
+    assert not cells.degenerate() and cells.sn2_satisfied()
+
+
+# the kept part count of accepted quilts at the criterion-7 parameters
+PART_PARAMS = (math.sqrt(2), 0.15, 64)
+PART_QUILTS = 200
+PART_ALPHA = 1e-4  # two-sided, per seed
+
+
+def _zero_truncated_sum_pmf(lam, n, kmax=80):
+    """Law of the sum of n iid Poisson(lam) counts conditioned on >= 1."""
+    one = scipy.stats.poisson.pmf(np.arange(kmax + 1), lam)
+    one[0] = 0.0
+    one /= one.sum()
+    out, base = np.array([1.0]), one
+    while n:
+        if n & 1:
+            out = np.convolve(out, base)
+        base = np.convolve(base, base)
+        n >>= 1
+    return out
+
+
+def _part_count_pvalue(seed):
+    """Two-sided exact test of the total cut count of PART_QUILTS quilts
+    against the sum of zero-truncated Poisson(t / epsilon) counts: the law
+    of 1 + Poisson(t / epsilon) parts conditioned on at least 2."""
+    p = mt.mot_params(*PART_PARAMS, seed)
+    rng = np.random.default_rng(seed)
+    cuts = sum(mt.simulate_discretized_disk(p, rng=rng).provenance["poisson_parts"] - 1
+               for _ in range(PART_QUILTS))
+    pmf = _zero_truncated_sum_pmf(p.duration / p.epsilon, PART_QUILTS)
+    return min(1.0, 2 * min(pmf[: cuts + 1].sum(), pmf[cuts:].sum()))
+
+
+def test_part_count_law_passes_at_seeds_0_to_29():
+    assert [s for s in range(30) if _part_count_pvalue(s) <= PART_ALPHA] == []
+
+
+def test_part_count_law_catches_short_cell_redraw(monkeypatch):
+    honest = mt.poisson_partition
+
+    def redraw_short(t, epsilon, seed=None, rng=None):
+        # a planted defect: redraw while a part is shorter than one grid step
+        parts = honest(t, epsilon, rng=rng)
+        while parts.min() < t / PART_PARAMS[2]:
+            parts = honest(t, epsilon, rng=rng)
+        return parts
+
+    monkeypatch.setattr(mt, "poisson_partition", redraw_short)
+    assert _part_count_pvalue(0) <= PART_ALPHA
