@@ -10,9 +10,17 @@ compare is exhaustive.  Budgets are per hole.
 
 Pruning keeps the search at desk scale: tag counts, per-step side-profile
 matching (the near sides of a marked 4-gon must collapse to the side
-profile of an unused subtemplate 4-gon), and a closing profile check for
-the 2-gon.  All prunes are sound: they never reject a sequence that could
-reduce to the target subtemplate.
+profile of an unused subtemplate 4-gon), a closing profile check for the
+2-gon, and a cluster-size check.  The search keeps the edge-connected
+clusters of unmarked faces exactly: an unmarked 4-gon placed at split
+(t, s) shares edges with just the faces behind the frontier edges it
+covers, so it joins their clusters, and clusters only grow or merge.  A
+cluster larger than every budget cuts its branch, and at a close, where
+the clusters are final, there must be one per hole, the k-th largest
+within the k-th largest budget.  Which hole a cluster fills is fixed only
+by the rooted isomorphism of the closed leaf, so the exact per-hole test
+stays there.  All prunes are sound: they never reject a sequence that
+could reduce to the target subtemplate within the budgets.
 
 Each search node reads the tags behind its two frontier arcs once and
 builds their collapsed prefix profiles in one pass per arc (a left profile
@@ -21,8 +29,9 @@ prefix is tested against the unused 4-gon profiles before it is paired
 with any right prefix, and no profile is built once every marked 4-gon is
 placed.  A child that can place no further face is only ever closed, so its
 2-gon check runs on the parent's tags, before any clone or ``add_face``.
-The search counts its nodes, the children that check cuts, its leaves and
-the reject reason of every leaf that is not a filling (``counters``).
+The search counts its nodes, the children that the closing check cuts, the
+branches and closes that the cluster check cuts, its leaves and the reject
+reason of every leaf that is not a filling (``counters``).
 
 A closed leaf is reduced onto the subtemplate once, by ``_filling``, the
 one constructor of a ``Filling``: the filling keeps the dart paths of the
@@ -34,6 +43,7 @@ reducing the filling again.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import planar_map as pm
@@ -153,11 +163,10 @@ def _tsub_profiles(tsub: MarkedSubtemplate):
     return four, two
 
 
-def _frontier_tags(builder: Builder, arc, tags):
-    """Raw tag of the explored face behind each frontier edge of ``arc``."""
+def _frontier_tags(faces, tags):
+    """Raw tag of each explored face (``Builder.frontier_faces``) of an arc."""
     out = []
-    for eid, _, _ in arc:
-        f = builder.edge_face[eid]
+    for f in faces:
         if f == EXT:
             out.append("M1")
         elif f == 0:
@@ -200,18 +209,26 @@ class _Search:
         # (None: no remainder can close)
         self.close_left, self.close_right = (two[0][::-1], two[1]) if two else (None, None)
         self.total_budget = sum(budgets)
+        self.caps = sorted(budgets, reverse=True)
+        self.cap = max(budgets, default=0)
         self.tags = []  # "M"/"U" per added 4-gon, in construction order
         self.results = []
         self.seen = set()
         self.counters = {
             "nodes": 0,
             "closing_cuts": 0,
+            "budget_cuts": 0,
             "leaves": 0,
             "rejects": dict.fromkeys(REJECT_REASONS, 0),
         }
 
     def reject(self, reason):
         self.counters["rejects"][reason] += 1
+
+    def fits(self, clusters):
+        """Whether final clusters can fill the holes one each within budget."""
+        return len(clusters) == self.b and all(
+            n <= cap for n, cap in zip(sorted(map(len, clusters), reverse=True), self.caps))
 
 
 def _finish(search: _Search, builder: Builder):
@@ -243,19 +260,28 @@ def _finish(search: _Search, builder: Builder):
     search.results.append(filling)
 
 
-def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, available):
-    """Finish ``builder`` if it closes, then branch on every (t, s, tag)."""
+def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, available,
+            clusters):
+    """Finish ``builder`` if it closes, then branch on every (t, s, tag).
+
+    ``clusters`` are the edge-connected clusters of the unmarked faces, as
+    frozensets of construction indices.
+    """
     search.counters["nodes"] += 1
-    left_raw = _frontier_tags(builder, builder.left, search.tags)
-    right_raw = _frontier_tags(builder, builder.right, search.tags)
-    if (marked_used == search.n4 and unmarked_used >= search.b
+    left_faces = builder.frontier_faces(builder.left)
+    right_faces = builder.frontier_faces(builder.right)
+    left_raw = _frontier_tags(left_faces, search.tags)
+    right_raw = _frontier_tags(right_faces, search.tags)
+    if (marked_used == search.n4
             and _collapse(left_raw) == search.close_left
             and _collapse(right_raw) == search.close_right):
-        _finish(search, builder.clone())
+        if search.fits(clusters):
+            _finish(search, builder.clone())
+        else:
+            search.counters["budget_cuts"] += 1
     if unmarked_used < search.total_budget:
-        splits = [(t_i, s_i) for t_i in range(1, len(left_raw) + 1)
-                  for s_i in range(1, len(right_raw) + 1)]
-        _branch(search, builder, "U", splits, left_raw, right_raw,
+        children = _grow_clusters(search, builder, left_faces, right_faces, clusters)
+        _branch(search, builder, "U", children, left_raw, right_raw,
                 marked_used, unmarked_used + 1, available)
     if marked_used < search.n4:
         # a marked 4-gon's near sides must match an unused subtemplate
@@ -273,38 +299,65 @@ def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, avail
                     next_av[prof] -= 1
                     if not next_av[prof]:
                         del next_av[prof]
-                    _branch(search, builder, "M", [(t_i, s_i)], left_raw, right_raw,
-                            marked_used + 1, unmarked_used, next_av)
+                    _branch(search, builder, "M", [((t_i, s_i), clusters)], left_raw,
+                            right_raw, marked_used + 1, unmarked_used, next_av)
 
 
-def _branch(search: _Search, builder: Builder, tag, splits, left_raw, right_raw,
+def _grow_clusters(search: _Search, builder: Builder, left_faces, right_faces, clusters):
+    """The (split, clusters) children of an unmarked 4-gon that the budgets allow.
+
+    The new face joins every cluster behind the frontier edges it covers;
+    a grown cluster larger than every budget is cut.
+    """
+    f = len(builder.cycles)  # construction index of the new face
+    # the smallest t (s) at which the face covers each cluster
+    reach = [(next((t_i for t_i, g in enumerate(left_faces, 1) if g in c), math.inf),
+              next((s_i for s_i, g in enumerate(right_faces, 1) if g in c), math.inf))
+             for c in clusters]
+    kept = []
+    for t_i in range(1, len(left_faces) + 1):
+        for s_i in range(1, len(right_faces) + 1):
+            joined = [c for c, (t_c, s_c) in zip(clusters, reach) if t_i >= t_c or s_i >= s_c]
+            if 1 + sum(map(len, joined)) > search.cap:
+                break  # a larger s covers more and joins more
+            grown = frozenset([f]).union(*joined)
+            kept.append(((t_i, s_i), tuple(c for c in clusters if c.isdisjoint(grown))
+                         + (grown,)))
+    search.counters["budget_cuts"] += len(left_faces) * len(right_faces) - len(kept)
+    return kept
+
+
+def _branch(search: _Search, builder: Builder, tag, children, left_raw, right_raw,
             marked_used, unmarked_used, available):
-    """Add a ``tag`` 4-gon at each (t, s) of ``splits`` and search below it.
+    """Add a ``tag`` 4-gon at each ((t, s), clusters) of ``children`` and
+    search below it.
 
     A child that can place no further face is only ever closed.  Its
     frontier tags are the new face's tag followed by the parent's from the
     split edge on, so its closing check runs on the parent's tags, one side
-    at a time; only children that pass are cloned and built.
+    at a time, and its clusters, which are final, must fit the holes; only
+    children that pass are cloned and built.
     """
     terminal = marked_used == search.n4 and unmarked_used == search.total_budget
     if terminal:
         new = ["M4" if tag == "M" else "H"]
-        closable = unmarked_used >= search.b
-        left_ok = {t_i for t_i in range(1, len(left_raw) + 1) if closable
-                   and _collapse(new + left_raw[t_i - 1:]) == search.close_left}
-        right_ok = {s_i for s_i in range(1, len(right_raw) + 1) if closable
-                    and _collapse(new + right_raw[s_i - 1:]) == search.close_right}
-        kept = [(t_i, s_i) for t_i, s_i in splits if t_i in left_ok and s_i in right_ok]
-        search.counters["closing_cuts"] += len(splits) - len(kept)
-        splits = kept
-    for t_i, s_i in splits:
+        left_ok = {t_i for t_i in range(1, len(left_raw) + 1)
+                   if _collapse(new + left_raw[t_i - 1:]) == search.close_left}
+        right_ok = {s_i for s_i in range(1, len(right_raw) + 1)
+                    if _collapse(new + right_raw[s_i - 1:]) == search.close_right}
+        kept = [(split, c) for split, c in children
+                if split[0] in left_ok and split[1] in right_ok]
+        search.counters["closing_cuts"] += len(children) - len(kept)
+        children = [(split, c) for split, c in kept if search.fits(c)]
+        search.counters["budget_cuts"] += len(kept) - len(children)
+    for (t_i, s_i), clusters in children:
         child = builder.clone()
         child.add_face(t=t_i, s=s_i)
         search.tags.append(tag)
         if terminal:
             _finish(search, child)
         else:
-            _expand(search, child, marked_used, unmarked_used, available)
+            _expand(search, child, marked_used, unmarked_used, available, clusters)
         search.tags.pop()
 
 
@@ -315,15 +368,16 @@ def enumerate_fillings(tsub: MarkedSubtemplate, n_max, counters=None):
     templates) and sorted by canonical key; every result passes
     validate_template and reduces back to the subtemplate.  A dict passed
     as ``counters`` receives the search counters: ``nodes`` expanded,
-    terminal children cut by the ``closing_cuts`` check, ``leaves`` closed
-    and reduced, and ``rejects`` per reason (REJECT_REASONS); every leaf is
-    a filling or one reject.
+    terminal children cut by the ``closing_cuts`` check, children and closes
+    cut by the cluster check (``budget_cuts``), ``leaves`` closed and
+    reduced, and ``rejects`` per reason (REJECT_REASONS); every leaf is a
+    filling or one reject.
     """
     search = _Search(tsub, _normalize_budgets(tsub, n_max))
     available = {}
     for prof in search.four_profiles:
         available[prof] = available.get(prof, 0) + 1
-    _expand(search, Builder(), 0, 0, available)
+    _expand(search, Builder(), 0, 0, available, ())
     if counters is not None:
         counters.update(search.counters)
     if not search.results:

@@ -77,15 +77,21 @@ def test_criterion_07_mating_pipeline():
     probe = mt.mot_params(1.8, 0.25, 32, MASTER_SEED)
     paths = mt.sample_walk_proposals(probe, 4000, rng=np.random.default_rng(MASTER_SEED))
     times = np.linspace(0, 1, probe.steps + 1)
+    cuts = [8, 16, 24]
+    # an in-cone walk gets its sub-grid minima (no new cut times), so that
+    # its cells have no zero side
+    refine_rng = np.random.default_rng(MASTER_SEED)
     seen = [0, 0]
     ok = True
     for k in range(paths.shape[0]):
         walk = mt.ConeWalk(times=times, L=paths[k, :, 0], R=paths[k, :, 1])
-        cells = mt.cell_lengths_at(walk, [8, 16, 24])
         in_cone = walk.in_quadrant()
-        if cells.degenerate() and in_cone:
-            continue
-        if cells.sn2_satisfied() != in_cone:
+        if in_cone:
+            walk, at = mt.refine_walk(walk, times[cuts], probe.variance, refine_rng)
+            cells = mt.cell_lengths_at(walk, at)
+        else:
+            cells = mt.cell_lengths_at(walk, cuts)
+        if (in_cone and cells.degenerate()) or cells.sn2_satisfied() != in_cone:
             ok = False
             break
         seen[in_cone] += 1

@@ -104,7 +104,9 @@ def test_quilt_verify_bijection(tmp_path, capsys):
     assert payload["fillings"] == 50
     assert payload["factor_sizes"] == [10, 5]
     search = payload["search"]
+    assert set(search) == {"nodes", "closing_cuts", "budget_cuts", "leaves", "rejects"}
     assert search["leaves"] == 50 + sum(search["rejects"].values())
+    assert search["budget_cuts"] > 0 and search["rejects"]["over_budget"] == 0
 
 
 def test_quilt_winding_labels(tmp_path, capsys):

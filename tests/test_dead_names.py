@@ -1,0 +1,48 @@
+"""Every top-level name in ``src/quiltlab`` is used somewhere.
+
+A name is dead when no Python file under ``src/``, ``tests/``, ``demos/``
+or ``perfbench/`` mentions it outside the lines of its own definition (a
+recursive function's call of itself does not count).  Mentions are whole
+words, so a name read by ``getattr`` from a string counts as used.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "tests", "demos", "perfbench")
+
+
+def _top_level_names(tree):
+    """(name, first line, last line) of each top-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno, node.end_lineno
+
+
+def dead_names():
+    """``module:name`` of every top-level name of the package that nothing uses."""
+    texts = {path: path.read_text() for top in SEARCHED for path in (ROOT / top).rglob("*.py")}
+    dead = []
+    for path in sorted((ROOT / "src" / "quiltlab").glob("*.py")):
+        lines = texts[path].splitlines()
+        elsewhere = "\n".join(text for other, text in texts.items() if other != path)
+        for name, first, last in _top_level_names(ast.parse(texts[path])):
+            if name.startswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            outside = "\n".join(lines[:first - 1] + lines[last:])
+            if not (word.search(elsewhere) or word.search(outside)):
+                dead.append(f"{path.stem}:{name}")
+    return dead
+
+
+def test_no_dead_top_level_names():
+    assert dead_names() == []

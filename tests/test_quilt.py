@@ -14,7 +14,9 @@ from quiltlab import quilt as qt
 from quiltlab import quilt_enum as qe
 from quiltlab import quilt_winding as qw
 from quiltlab._builder import Builder
+from quiltlab._verify import FIXTURES
 from quiltlab.errors import (
+    BudgetExhausted,
     DisconnectedSelection,
     EmbeddingDegenerate,
     InvalidChoice,
@@ -250,6 +252,18 @@ def test_product_law_mixed_budgets(chain3_sub):
     assert rep.factor_sizes == (10, 30)
 
 
+def test_product_law_budgets_3_3(chain3_sub):
+    # the probe of scale: the search without the cluster check expanded
+    # 216,035 nodes and built 18,474 leaves for these 2,730 fillings
+    fills = qe.enumerate_fillings(chain3_sub, (3, 3))
+    assert hashlib.sha256(b"".join(f.key for f in fills)).hexdigest() == (
+        "490b1e05c4c717c3bf08a3d8bc27b5da900765165bdd74c7adc09dbec5723997")
+    rep = qe.verify_product_bijection(chain3_sub, (3, 3), constructive=False,
+                                      fillings=fills)
+    assert rep.n_fillings == 2730
+    assert rep.factor_sizes == (91, 30)
+
+
 def test_product_law_wide_fixture(wide_sub):
     rep = qe.verify_product_bijection(wide_sub, 2, constructive=True)
     assert rep.n_fillings == rep.factor_sizes[0] * rep.factor_sizes[1]
@@ -326,7 +340,8 @@ def test_search_counters_account_for_every_leaf(chain3_sub):
     search = rep.search
     assert set(search["rejects"]) == set(qe.REJECT_REASONS)
     assert search["leaves"] == rep.n_fillings + sum(search["rejects"].values())
-    assert search["nodes"] > 0 and search["closing_cuts"] > 0
+    assert search["nodes"] > 0 and search["closing_cuts"] > 0 and search["budget_cuts"] > 0
+    assert search["rejects"]["over_budget"] == 0
     again = qe.verify_product_bijection(chain3_sub, (2, 2), constructive=False)
     assert again.search == search
     counters = {}
@@ -335,6 +350,39 @@ def test_search_counters_account_for_every_leaf(chain3_sub):
     given = qe.verify_product_bijection(
         chain3_sub, (2, 2), constructive=False, fillings=fills)
     assert given.search is None
+
+
+def _keys_and_counters(tsub, budgets):
+    counters = {}
+    try:
+        keys = [f.key for f in qe.enumerate_fillings(tsub, budgets, counters=counters)]
+    except BudgetExhausted:
+        keys = []
+    return keys, counters
+
+
+ORACLE_BUDGETS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("name,budgets", [
+    *((name, b) for name in ("chain", "wide", "two-pass") for b in ORACLE_BUDGETS),
+    ("chain", (4, 1)),
+], ids=str)
+def test_cluster_prune_matches_unpruned_search(name, budgets, monkeypatch):
+    tsub = build_subtemplate(*FIXTURES[name])
+    keys, pruned = _keys_and_counters(tsub, budgets)
+    # the oracle: every cluster check accepts, which is the search without them
+    monkeypatch.setattr(qe._Search, "fits", lambda self, clusters: True)
+    monkeypatch.setattr(qe, "_grow_clusters", lambda search, builder, left, right, clusters: [
+        ((t, s), clusters) for t in range(1, len(left) + 1) for s in range(1, len(right) + 1)])
+    oracle_keys, unpruned = _keys_and_counters(tsub, budgets)
+    assert keys == oracle_keys
+    for counters, n in ((pruned, len(keys)), (unpruned, len(oracle_keys))):
+        assert counters["leaves"] == n + sum(counters["rejects"].values())
+    assert pruned["budget_cuts"] > 0 and unpruned["budget_cuts"] == 0
+    assert pruned["nodes"] <= unpruned["nodes"]
+    if len(set(budgets)) == 1:
+        assert pruned["rejects"]["over_budget"] == 0
 
 
 def test_enumeration_result_freed_without_gc(chain3_sub):
