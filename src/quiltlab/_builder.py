@@ -76,10 +76,6 @@ class Builder:
         b.collisions = self.collisions
         return b
 
-    @property
-    def n_faces_added(self):
-        return len(self.cycles) - 1
-
     # -- split bookkeeping ------------------------------------------------------
 
     def _split(self, arc, idx, piece=None):

@@ -92,10 +92,6 @@ class Coupling:
         return cls(c=float(c), role="matter")
 
     @classmethod
-    def from_chi(cls, chi):
-        return cls(c=1.0 - 6.0 * chi * chi, role="matter")
-
-    @classmethod
     def liouville(cls, gamma):
         return cls(c=c_liouville(gamma), role="liouville")
 

@@ -1,10 +1,10 @@
 """Desk-scale simulator of the Poissonized mating-of-trees discretization.
 
 Pipeline: sample a correlated two-dimensional Gaussian bridge from (0, 1)
-to (0, 0) conditioned (by rejection) to stay in the closed quadrant, cut
-its time axis by a Poisson process, refine the walk at the cut times with
-sub-grid bridge values and minima, read off per-cell boundary lengths from
-increments and running infima, and assemble the quilt.
+to (0, 0) conditioned to stay in the closed quadrant, cut its time axis by
+a Poisson process, refine the walk at the cut times with sub-grid bridge
+values and minima, read off per-cell boundary lengths from increments and
+running infima, and assemble the quilt.
 
 Conventions and proxies, documented once:
 
@@ -12,14 +12,16 @@ Conventions and proxies, documented once:
 * the duration prior over total time is improper in the idealized model; we
   fix a configurable total duration (default 1.0) as a bounded proxy and
   treat the walk as a discrete bridge with ``steps`` increments.
-* the bridge is built one step at a time from the exact conditional law of
-  the next point given the current one and the pinned endpoint, so endpoint
-  pinning is exact and rejection only enforces quadrant positivity; a
-  proposal is dropped at its first grid point outside the closed quadrant,
-  which leaves the law of the accepted walk that of the bridge conditioned
-  on the quadrant.  This replaces endpoint-ball rejection, which is
-  infeasible at these step counts.  Seeded walks and quilts differ from
-  versions that drew every proposal in full; the law is the same.
+* the quadrant conditioning is exact on the grid, with no rejection on L:
+  a free bridge's increments are exchangeable, so exactly one cyclic shift
+  of them, the one that starts at the argmin, stays >= 0 (the cycle lemma),
+  and that shift has the law of the bridge conditioned to stay >= 0 (the
+  discrete Vervaat transform).  Given L, R = 1 + rho L + sqrt(1 - rho^2) W
+  with W an independent bridge, so a proposal pairs the shifted L with a
+  fresh W and is rejected only when R < 0 at a grid point; the accepted law
+  is that of the bridge conditioned on the quadrant.  ``rejections`` counts
+  these R-stage proposals.  Seeded walks and quilts differ from versions
+  that rejected on both coordinates; the law is the same.
 * between two neighbouring points the walk is, coordinate by coordinate, a
   Brownian bridge conditioned to stay >= 0: the value at each Poisson cut
   time and the minimum over each sub-interval are drawn from that law
@@ -111,10 +113,9 @@ class ConeWalk:
         R = np.asarray(self.R, dtype=float)
         return np.minimum(L[:-1], L[1:]), np.minimum(R[:-1], R[1:])
 
-    def in_quadrant(self, through=None):
-        """min(L) >= 0 and min(R) >= 0 up to grid index ``through`` (inclusive)."""
-        sl = slice(None) if through is None else slice(0, through + 1)
-        return bool(self.L[sl].min() >= 0.0 and self.R[sl].min() >= 0.0)
+    def in_quadrant(self):
+        """min(L) >= 0 and min(R) >= 0."""
+        return bool(self.L.min() >= 0.0 and self.R.min() >= 0.0)
 
 
 def _step_chol(p: MotParams):
@@ -139,56 +140,42 @@ def _bridge_batch(p: MotParams, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
     return paths
 
 
-def _bridge_step(x, end, left, chol_t, rng):
-    """Exact conditional step of a bridge with ``left`` steps to go.
+def _cone_proposals(p: MotParams, count, rng):
+    """(L, R) grid values of ``count`` proposals, each of shape
+    (count, steps + 1), with L >= 0, L[0] = L[n] = 0, R[0] = 1 and R[n] = 0
+    exactly.
 
-    X_{k+1} | X_k, X_n = end ~ N(X_k + (end - X_k) / left,
-    Sigma dt (left - 1) / left), for rows of ``x``; ``chol_t`` is the
-    transposed Cholesky factor of Sigma dt.
-    """
-    z = rng.standard_normal(x.shape) @ chol_t
-    return x + (end - x) / left + math.sqrt((left - 1) / left) * z
-
-
-def _first_quadrant_bridge(p: MotParams, count, rng):
-    """(path, index) of the lowest-indexed of ``count`` bridge proposals that
-    stays in the closed quadrant, or (None, None) when none does.
-
-    The proposals are grown together one step at a time, and each is dropped
-    at its first grid point outside the quadrant.
+    L is a free bridge s from 0 to 0 shifted cyclically to start at its
+    argmin k, L[j] = s[(k + j) mod n] - s[k]: a difference, never a sum of
+    shifted increments, so no rounding takes it below 0.  R is
+    1 + rho L + sqrt(1 - rho^2) W, W an independent bridge from 0 to
+    -1 / sqrt(1 - rho^2), written as (1 - j/n) + rho L + sqrt(1 - rho^2) w
+    with w a bridge from 0 to 0, whose end is 0.0 exactly.
     """
     n = p.steps
-    chol_t = _step_chol(p).T
-    start = np.array([0.0, 1.0])
-    end = np.zeros(2)
-    paths = np.empty((count, n + 1, 2))
-    paths[:, 0] = start
-    alive = np.arange(count)
-    x = np.tile(start, (count, 1))
-    for k in range(n - 1):
-        x = _bridge_step(x, end, n - k, chol_t, rng)
-        if x.min() < 0.0:
-            keep = x.min(axis=1) >= 0.0
-            alive, x = alive[keep], x[keep]
-            if not alive.size:
-                return None, None
-        paths[alive, k + 1] = x
-    i = int(alive[0])
-    path = paths[i]
-    path[n] = end
-    return path, i
+    rho = p.correlation
+    sd = math.sqrt(p.variance * p.duration / n)
+    frac = np.arange(n + 1) / n
+    walks = np.zeros((2, count, n + 1))
+    np.cumsum(rng.standard_normal((2, count, n)), axis=2, out=walks[:, :, 1:])
+    walks -= frac * walks[:, :, n:]  # pinned: both end at 0.0 exactly
+    s, w = walks
+    rows = np.arange(count)[:, None]
+    k = s[:, :n].argmin(axis=1)[:, None]
+    L = sd * (s[rows, (k + np.arange(n + 1)) % n] - s[rows, k])
+    R = (1.0 - frac) + rho * L + (math.sqrt(1.0 - rho * rho) * sd) * w
+    return L, R
 
 
 def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
-                     batch=512) -> ConeWalk:
+                     batch=16) -> ConeWalk:
     """First quadrant-positive bridge from a rejection stream.
 
-    Proposals come in batches of ``batch``, each grown step by step from the
-    exact conditional bridge step and dropped at its first exit from the
-    closed quadrant (see the module notes); the walk is the lowest-indexed
-    survivor.  Raises RejectionBudgetExceeded after ``max_proposals``
-    attempts; the number of proposals tried before the walk is recorded on
-    it as ``rejections``.
+    Proposals come in batches of ``batch``; L is drawn already >= 0 by the
+    cyclic shift of :func:`_cone_proposals`, and a proposal is rejected when
+    R < 0 at a grid point.  The walk is the lowest-indexed survivor.  Raises
+    RejectionBudgetExceeded after ``max_proposals`` proposals; the number
+    drawn before the walk is recorded on it as ``rejections``.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
@@ -196,14 +183,12 @@ def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
     tried = 0
     while tried < max_proposals:
         take = min(batch, max_proposals - tried)
-        path, i = _first_quadrant_bridge(p, take, rng)
-        if path is not None:
-            return ConeWalk(
-                times=times,
-                L=path[:, 0].copy(),
-                R=path[:, 1].copy(),
-                rejections=tried + i,
-            )
+        L, R = _cone_proposals(p, take, rng)
+        kept = np.flatnonzero(R.min(axis=1) >= 0.0)
+        if kept.size:
+            i = int(kept[0])
+            return ConeWalk(times=times, L=L[i].copy(), R=R[i].copy(),
+                            rejections=tried + i)
         tried += take
     raise RejectionBudgetExceeded(
         f"no quadrant-positive bridge in {max_proposals} proposals "
@@ -215,8 +200,9 @@ def sample_walk_proposals(p: MotParams, count, rng=None,
                           start=(0.0, 1.0), end=(0.0, 0.0)):
     """Unconditioned bridges, drawn in full by pinning a free walk's endpoint.
 
-    An independent construction of the bridge law that :func:`sample_cone_walk`
-    samples step by step (for calibration and for rejected-walk tests).
+    The full-rejection oracle for :func:`sample_cone_walk`: keeping the
+    proposals that stay in the closed quadrant gives the same law without
+    the shift (for calibration and for rejected-walk tests).
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
@@ -474,11 +460,14 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
     lengths -> quilt.
 
     Deterministic given (params, seed): all randomness flows from one
-    generator seeded by ``p.seed``.  One walk is drawn, and the partition is
-    redrawn only while it has fewer than 2 parts, so the kept part count is
-    1 + Poisson(t / epsilon) conditioned on at least one cut.  The
-    provenance counts the walks (always 1), the proposals rejected before
-    the walk and the partitions redrawn (``partition_resamples``);
+    generator seeded by ``p.seed``, and seeded quilts differ from versions
+    that drew the walk by rejection on both coordinates.  One walk is drawn
+    (:func:`sample_cone_walk`), and the partition is redrawn only while it
+    has fewer than 2 parts, so the kept part count is 1 + Poisson(t /
+    epsilon) conditioned on at least one cut.  The provenance counts the
+    walks (always 1), the proposals rejected before the walk
+    (``rejections``: R-stage proposals, L being drawn >= 0 by the cyclic
+    shift) and the partitions redrawn (``partition_resamples``);
     ``snap_merges`` is always 0: cuts are not snapped to the grid.
     Raises MatingError if the cells come out degenerate, which has
     probability zero under the sub-grid law.

@@ -70,10 +70,6 @@ class HalfEdgeMap:
     def is_spherical(self):
         return self.euler_characteristic == 2
 
-    @property
-    def genus(self):
-        return (2 - self.euler_characteristic) // 2
-
     # -- navigation -----------------------------------------------------------
 
     def twin(self, dart):
@@ -85,12 +81,6 @@ class HalfEdgeMap:
     def face_next(self, dart):
         """Next dart around the face of ``dart`` (face kept on the left)."""
         return self.next_dart[dart ^ 1]
-
-    def edge_of(self, dart):
-        return dart >> 1
-
-    def darts_of_edge(self, edge):
-        return (2 * edge, 2 * edge + 1)
 
     def degree(self, vertex):
         return len(self.vertex_cycles[vertex])

@@ -199,11 +199,10 @@ class _Search:
     """One enumeration: the target, the tag stack, the results, the counters."""
 
     def __init__(self, tsub: MarkedSubtemplate, budgets):
-        t = tsub.template
         self.tsub = tsub
         self.budgets = budgets
         self.b = tsub.n_holes
-        self.n4 = sum(1 for f in t.marks if t.k_gon(f) == 4)
+        self.n4 = tsub.template.n_added_gons
         self.four_profiles, two = _tsub_profiles(tsub)
         # the 2-gon's near sides as frontier tags read from the terminal
         # (None: no remainder can close)

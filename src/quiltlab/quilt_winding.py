@@ -173,13 +173,6 @@ class GeomEmbedding:
     def midpoint(self, e):
         return self.pos[("m", e)]
 
-    def interior_point(self, f):
-        return self.pos[("f", f)]
-
-    def edge_polyline(self, e):
-        u, w = self.template.map.edge_vertices(e)
-        return [self.vertex(u), self.midpoint(e), self.vertex(w)]
-
     def dart_first_direction(self, d):
         """Unit direction of the first polyline segment of a dart."""
         v = self.template.map.vertex_of[d]
@@ -215,13 +208,6 @@ class GeomEmbedding:
         a1 = _unit(head - m)
         a2 = _unit(tail - m)
         return _ccw_bisector(a1, a2)
-
-    def local_scale(self, v):
-        t = self.template
-        return min(
-            np.linalg.norm(self.midpoint(d >> 1) - self.vertex(v))
-            for d in t.map.vertex_cycles[v]
-        )
 
     def boundary_points(self, face):
         """Positions of the face's boundary nodes in ccw cycle order."""

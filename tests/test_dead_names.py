@@ -1,9 +1,11 @@
-"""Every top-level name in ``src/quiltlab`` is used somewhere.
+"""Every name that ``src/quiltlab`` defines is used somewhere.
 
-A name is dead when no Python file under ``src/``, ``tests/``, ``demos/``
-or ``perfbench/`` mentions it outside the lines of its own definition (a
-recursive function's call of itself does not count).  Mentions are whole
-words, so a name read by ``getattr`` from a string counts as used.
+The names are the top-level ones and every ``def`` at any depth: methods,
+properties, classmethods and nested functions.  A name is dead when no
+Python file under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``
+mentions it outside the lines of its own definition (a recursive
+function's call of itself does not count).  Mentions are whole words, so a
+name read by ``getattr`` from a string counts as used.
 """
 
 import ast
@@ -14,10 +16,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
-def _top_level_names(tree):
-    """(name, first line, last line) of each top-level definition."""
+def _defined_names(tree):
+    """(name, first line, last line) of each top-level definition and of
+    each function or method at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.lineno, node.end_lineno
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
             yield node.name, node.lineno, node.end_lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -28,13 +34,13 @@ def _top_level_names(tree):
 
 
 def dead_names():
-    """``module:name`` of every top-level name of the package that nothing uses."""
+    """``module:name`` of every name the package defines that nothing uses."""
     texts = {path: path.read_text() for top in SEARCHED for path in (ROOT / top).rglob("*.py")}
     dead = []
     for path in sorted((ROOT / "src" / "quiltlab").glob("*.py")):
         lines = texts[path].splitlines()
         elsewhere = "\n".join(text for other, text in texts.items() if other != path)
-        for name, first, last in _top_level_names(ast.parse(texts[path])):
+        for name, first, last in _defined_names(ast.parse(texts[path])):
             if name.startswith("__"):
                 continue
             word = re.compile(rf"\b{re.escape(name)}\b")
@@ -44,5 +50,5 @@ def dead_names():
     return dead
 
 
-def test_no_dead_top_level_names():
+def test_no_dead_names():
     assert dead_names() == []

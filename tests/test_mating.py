@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -45,37 +46,78 @@ def test_walk_positivity_and_pinning(rng):
     walk = mt.sample_cone_walk(p, rng=rng)
     assert walk.L.min() >= 0 and walk.R.min() >= 0
     assert walk.L[0] == 0.0 and walk.R[0] == 1.0
-    assert abs(walk.L[-1]) < 1e-12 and abs(walk.R[-1]) < 1e-12
+    assert walk.L[-1] == 0.0 and walk.R[-1] == 0.0
 
 
-# --- the bridge law: step-by-step sampler against the full-proposal oracle ----------
+# --- the cyclic shift: L >= 0 by construction -----------------------------------------
 
-LAW = mt.mot_params(math.sqrt(2), 0.2, 16, 0)
-LAW_WALKS = 4000
-LAW_ALPHA = 1e-3  # family-wise false-alarm rate over the three KS tests
+SHIFT_SETTINGS = ((0.5, 6), (1.0, 16), (math.sqrt(2), 64), (1.8, 128))
 
 
-def _oracle_r_paths(rng):
-    """R paths of full-length bridge proposals kept by quadrant rejection."""
-    kept = []
-    while sum(map(len, kept)) < LAW_WALKS:
-        paths = mt.sample_walk_proposals(LAW, 20_000, rng=rng)
-        kept.append(paths[(paths.min(axis=1) >= 0.0).all(axis=1), :, 1])
-    return np.concatenate(kept)[:LAW_WALKS]
+@pytest.mark.parametrize("gamma, steps", SHIFT_SETTINGS)
+def test_shifted_proposals_are_exactly_pinned_and_nonnegative(gamma, steps):
+    p = mt.mot_params(gamma, 0.25, steps, 0)
+    L, R = mt._cone_proposals(p, 5000, np.random.default_rng(steps))
+    assert L.min() >= 0.0
+    assert (L[:, 0] == 0.0).all() and (L[:, -1] == 0.0).all()
+    assert (R[:, 0] == 1.0).all() and (R[:, -1] == 0.0).all()
+    # the shift starts at the argmin: L touches 0 only at its ends
+    assert (L[:, 1:-1] > 0.0).all()
+
+
+@pytest.mark.parametrize("gamma, steps", SHIFT_SETTINGS)
+def test_exactly_one_cyclic_shift_is_nonnegative(gamma, steps):
+    # the cycle lemma on free bridges from the oracle: of the n cyclic shifts
+    # s[(c + j) mod n] - s[c], exactly one stays >= 0, the one at the argmin
+    p = mt.mot_params(gamma, 0.25, steps, 0)
+    s = mt.sample_walk_proposals(p, 2000, rng=np.random.default_rng(steps))[:, :, 0]
+    j = np.arange(steps + 1)
+    good = np.array([(s[:, (c + j) % steps] - s[:, [c]]).min(axis=1) >= 0.0
+                     for c in range(steps)])
+    assert (good.sum(axis=0) == 1).all()
+    assert (good.argmax(axis=0) == s[:, :steps].argmin(axis=1)).all()
+
+
+# --- the bridge law: the shifted sampler against the full-rejection oracle -------------
+
+# criterion 5's (gamma, steps) settings and the criterion-7 grid
+LAW_SETTINGS = ((0.5, 6), (1.0, 16), (math.sqrt(2), 48), (1.8, 128), (math.sqrt(2), 64))
+LAW_WALKS = 300
+LAW_ALPHA = 1e-3  # family-wise false-alarm rate over the 20 KS tests of one seed
+
+
+def _law_stats(L, R):
+    """Path statistics compared by two-sample KS: max and mean of L and R."""
+    return L.max(axis=1), L.mean(axis=1), R.max(axis=1), R.mean(axis=1)
+
+
+@functools.cache
+def _oracle_stats(seed, gamma, steps):
+    """Statistics of full-length bridge proposals kept by quadrant rejection."""
+    p = mt.mot_params(gamma, 0.25, steps, 0)
+    rng = np.random.default_rng([seed, steps, 0])
+    kept, total = [], 0
+    while total < LAW_WALKS:
+        paths = mt.sample_walk_proposals(p, 10_000, rng=rng)
+        paths = paths[paths.reshape(len(paths), -1).min(axis=1) >= 0.0]
+        kept.append(paths)
+        total += len(paths)
+    paths = np.concatenate(kept)[:LAW_WALKS]
+    return _law_stats(paths[:, :, 0], paths[:, :, 1])
 
 
 def _law_pvalue(seed):
-    """Bonferroni p-value of two-sample KS on max R, R at the midpoint and R
-    at step 3, sample_cone_walk against the rejection oracle."""
-    oracle = _oracle_r_paths(np.random.default_rng([seed, 0]))
-    rng = np.random.default_rng([seed, 1])
-    walks = np.array([mt.sample_cone_walk(LAW, rng=rng).R for _ in range(LAW_WALKS)])
-    mid = LAW.steps // 2
-    pvalues = [
-        scipy.stats.ks_2samp(stat(oracle), stat(walks)).pvalue
-        for stat in (lambda r: r.max(axis=1), lambda r: r[:, mid], lambda r: r[:, 3])
-    ]
-    return min(1.0, 3 * min(pvalues))
+    """Bonferroni p-value of two-sample KS on the L and R statistics at every
+    setting, sample_cone_walk against the full-rejection oracle."""
+    pvalues = []
+    for gamma, steps in LAW_SETTINGS:
+        p = mt.mot_params(gamma, 0.25, steps, 0)
+        rng = np.random.default_rng([seed, steps, 1])
+        walks = [mt.sample_cone_walk(p, rng=rng) for _ in range(LAW_WALKS)]
+        got = _law_stats(np.array([w.L for w in walks]), np.array([w.R for w in walks]))
+        want = _oracle_stats(seed, gamma, steps)
+        pvalues += [scipy.stats.ks_2samp(a, b).pvalue for a, b in zip(got, want)]
+    return min(1.0, len(pvalues) * min(pvalues))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -83,47 +125,74 @@ def test_cone_walk_law_matches_rejection_oracle(seed):
     assert _law_pvalue(seed) > LAW_ALPHA
 
 
-def test_cone_walk_law_check_catches_dropped_variance_factor(monkeypatch):
-    def step_without_factor(x, end, left, chol_t, rng):
-        # the conditional step with its (left - 1) / left variance factor dropped
-        z = rng.standard_normal(x.shape) @ chol_t
-        return x + (end - x) / left + z
+def _planted_proposals(offset, rho_l):
+    """_cone_proposals with a planted defect: the shift starts ``offset``
+    points after the argmin, or R is built without the rho L term."""
+    def proposals(p, count, rng):
+        n = p.steps
+        rho = p.correlation
+        sd = math.sqrt(p.variance * p.duration / n)
+        frac = np.arange(n + 1) / n
+        walks = np.zeros((2, count, n + 1))
+        np.cumsum(rng.standard_normal((2, count, n)), axis=2, out=walks[:, :, 1:])
+        walks -= frac * walks[:, :, n:]
+        s, w = walks
+        rows = np.arange(count)[:, None]
+        k = (s[:, :n].argmin(axis=1)[:, None] + offset) % n
+        L = sd * (s[rows, (k + np.arange(n + 1)) % n] - s[rows, k])
+        R = (1.0 - frac) + (rho * L if rho_l else 0.0) + (math.sqrt(1.0 - rho * rho) * sd) * w
+        return L, R
+    return proposals
 
-    monkeypatch.setattr(mt, "_bridge_step", step_without_factor)
+
+def test_planted_proposals_without_defect_are_the_sampler():
+    p = mt.mot_params(1.0, 0.25, 16, 0)
+    honest = _planted_proposals(0, True)(p, 100, np.random.default_rng(3))
+    for a, b in zip(honest, mt._cone_proposals(p, 100, np.random.default_rng(3))):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("offset, rho_l", [(1, True), (0, False)],
+                         ids=["shift-at-argmin-plus-1", "dropped-rho-L"])
+def test_cone_walk_law_check_catches_planted_defect(monkeypatch, offset, rho_l):
+    monkeypatch.setattr(mt, "_cone_proposals", _planted_proposals(offset, rho_l))
     assert _law_pvalue(0) < LAW_ALPHA
 
 
 def test_cone_walk_budget_smaller_than_batch(monkeypatch):
-    p = mt.mot_params(math.sqrt(2), 0.15, 256, 0)
+    # about 3e4 proposals per walk at (0.6, 16): one proposal fails
+    p = mt.mot_params(0.6, 0.25, 16, 0)
     sizes = []
-    grow = mt._first_quadrant_bridge
+    propose = mt._cone_proposals
 
     def counted(p, count, rng):
         sizes.append(count)
-        return grow(p, count, rng)
+        return propose(p, count, rng)
 
-    monkeypatch.setattr(mt, "_first_quadrant_bridge", counted)
+    monkeypatch.setattr(mt, "_cone_proposals", counted)
     with pytest.raises(RejectionBudgetExceeded):
         mt.sample_cone_walk(p, rng=np.random.default_rng(0), max_proposals=1, batch=512)
     assert sizes == [1]
 
 
 def test_cone_walk_first_survivor_and_rejections(monkeypatch):
-    # rejections counts the proposals tried before the returned walk
-    p = mt.mot_params(math.sqrt(2), 0.15, 64, 4)
-    hits = []
-    grow = mt._first_quadrant_bridge
+    # rejections counts the proposals drawn before the returned walk
+    p = mt.mot_params(1.0, 0.15, 32, 4)
+    batches = []
+    propose = mt._cone_proposals
 
     def recorded(p, count, rng):
-        path, i = grow(p, count, rng)
-        hits.append((count, i))
-        return path, i
+        L, R = propose(p, count, rng)
+        kept = np.flatnonzero(R.min(axis=1) >= 0.0)
+        batches.append((L, R, int(kept[0]) if kept.size else None))
+        return L, R
 
-    monkeypatch.setattr(mt, "_first_quadrant_bridge", recorded)
+    monkeypatch.setattr(mt, "_cone_proposals", recorded)
     walk = mt.sample_cone_walk(p, rng=np.random.default_rng(4), batch=16)
-    *missed, (count, i) = hits
-    assert missed and all(j is None for _, j in missed) and i is not None
-    assert walk.rejections == sum(c for c, _ in missed) + i
+    *missed, (L, R, i) = batches
+    assert missed and all(j is None for _, _, j in missed) and i is not None
+    assert walk.rejections == sum(len(m[0]) for m in missed) + i
+    assert np.array_equal(walk.L, L[i]) and np.array_equal(walk.R, R[i])
     assert walk.in_quadrant() and walk.L[-1] == 0.0 and walk.R[-1] == 0.0
 
 
@@ -330,7 +399,8 @@ def test_pipeline_deterministic_and_valid():
 
 
 def test_pipeline_all_gammas():
-    for gamma, steps in ((0.5, 6), (1.0, 16), (math.sqrt(2), 64), (1.8, 128)):
+    # (0.6, 16) needs about 3e4 proposals per walk, inside the default budget
+    for gamma, steps in ((0.5, 6), (0.6, 16), (1.0, 16), (math.sqrt(2), 64), (1.8, 128)):
         p = mt.mot_params(gamma, 0.25, steps, 13)
         res = mt.simulate_discretized_disk(p)
         assert qt.validate_template(res.quilt.template).passed
