@@ -22,7 +22,7 @@ import math
 
 from . import planar_map as pm
 from .errors import ConstraintViolated, LengthCollision, TemplateError
-from .quilt import Quilt, Template
+from .quilt import Quilt, Template, validate_template
 
 EXT = -1  # sentinel face index for the outer 1-gon
 
@@ -240,13 +240,14 @@ class Builder:
         return template, seq_to_face, lengths
 
 
-def build_quilt_from_cells(cells, require_valid=True):
+def build_quilt_from_cells(cells):
     """Assemble the quilt determined by cell boundary lengths.
 
     ``cells`` carries the initial triple (l0+, r0-, r0+), the interior rows
     (l-, l+, r-, r+) and the derived closing lengths.  The closing 2-gon's
     side lengths must reproduce the conservation identities to rounding.
-    Returns (quilt, length_collision_count).
+    The template must pass the validity report.  Returns (quilt,
+    length_collision_count).
     """
     if not cells.sn2_satisfied():
         raise ConstraintViolated("cell lengths violate the cone constraints")
@@ -258,12 +259,9 @@ def build_quilt_from_cells(cells, require_valid=True):
     b.close()
     template, _seq, lengths = b.build()
     quilt = Quilt(template=template, lengths=lengths)
-    if require_valid:
-        from .quilt import validate_template
-
-        report = validate_template(template)
-        if not report.passed:
-            raise TemplateError(f"built template failed validation: {report.failures()}")
+    report = validate_template(template)
+    if not report.passed:
+        raise TemplateError(f"built template failed validation: {report.failures()}")
     f_last = template.face_order[-1]
     sides = quilt.side_lengths(f_last)
     l_close, r_close = sides[1], sides[0]

@@ -119,7 +119,8 @@ class ConeWalk:
 
 
 def _step_chol(p: MotParams):
-    """Cholesky factor of the per-step increment covariance Sigma dt."""
+    """Cholesky factor of the per-step increment covariance Sigma dt: the
+    oracle's generator, written apart from :func:`_increment_mix`."""
     dt = p.duration / p.steps
     cov = p.variance * dt * np.array(
         [[1.0, p.correlation], [p.correlation, 1.0]]
@@ -140,6 +141,22 @@ def _bridge_batch(p: MotParams, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
     return paths
 
 
+def _increment_mix(p: MotParams, a, b, drift=0.0):
+    """(L, R) = (sd a, drift + rho sd a + sqrt(1 - rho^2) sd b), sd^2 the
+    per-step variance ``variance * dt``.
+
+    Fed independent standard-normal increments a and b, this is one step
+    of the generator: increments of covariance variance dt [[1, rho],
+    [rho, 1]], the target of :func:`calibrate_covariance`.  Fed partial
+    sums, it mixes whole paths, which is how :func:`_cone_proposals` uses
+    it, with R's pinned descent from 1 to 0 as ``drift``.
+    """
+    sd = math.sqrt(p.variance * p.duration / p.steps)
+    rho = p.correlation
+    L = sd * a
+    return L, drift + rho * L + (math.sqrt(1.0 - rho * rho) * sd) * b
+
+
 def _cone_proposals(p: MotParams, count, rng):
     """(L, R) grid values of ``count`` proposals, each of shape
     (count, steps + 1), with L >= 0, L[0] = L[n] = 0, R[0] = 1 and R[n] = 0
@@ -150,11 +167,10 @@ def _cone_proposals(p: MotParams, count, rng):
     shifted increments, so no rounding takes it below 0.  R is
     1 + rho L + sqrt(1 - rho^2) W, W an independent bridge from 0 to
     -1 / sqrt(1 - rho^2), written as (1 - j/n) + rho L + sqrt(1 - rho^2) w
-    with w a bridge from 0 to 0, whose end is 0.0 exactly.
+    with w a bridge from 0 to 0, whose end is 0.0 exactly.  Both are scaled
+    and mixed by :func:`_increment_mix`.
     """
     n = p.steps
-    rho = p.correlation
-    sd = math.sqrt(p.variance * p.duration / n)
     frac = np.arange(n + 1) / n
     walks = np.zeros((2, count, n + 1))
     np.cumsum(rng.standard_normal((2, count, n)), axis=2, out=walks[:, :, 1:])
@@ -162,9 +178,7 @@ def _cone_proposals(p: MotParams, count, rng):
     s, w = walks
     rows = np.arange(count)[:, None]
     k = s[:, :n].argmin(axis=1)[:, None]
-    L = sd * (s[rows, (k + np.arange(n + 1)) % n] - s[rows, k])
-    R = (1.0 - frac) + rho * L + (math.sqrt(1.0 - rho * rho) * sd) * w
-    return L, R
+    return _increment_mix(p, s[rows, (k + np.arange(n + 1)) % n] - s[rows, k], w, 1.0 - frac)
 
 
 def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
@@ -273,17 +287,15 @@ class CellLengths:
         margins.extend(run_r[1:] - rm)
         return np.array(margins)
 
-    def sn2_satisfied(self, strict=True):
+    def sn2_satisfied(self):
         """Cone constraints plus the boundary-cell zero conventions.
 
         The strict sums only see the interior parts; the first part's L dip
         and the last part's dips are covered by the stored deficits, which
         must vanish for the walk to stay in the quadrant.
         """
-        margins = self.sn2_margins()
-        ok = bool((margins > 0).all()) if strict else bool((margins >= 0).all())
         deficits = (self.first_l_deficit, self.last_l_deficit, self.last_r_deficit)
-        return ok and all(d <= 0.0 for d in deficits)
+        return bool((self.sn2_margins() > 0).all()) and all(d <= 0.0 for d in deficits)
 
     def degenerate(self):
         """A zero cell side or zero cone margin: probability zero under the
@@ -442,11 +454,6 @@ def cell_lengths_at(walk: ConeWalk, cut_indices) -> CellLengths:
     )
 
 
-def build_quilt(cells: CellLengths):
-    """Quilt of the cell decomposition; template passes the validity report."""
-    return build_quilt_from_cells(cells)
-
-
 @dataclass
 class SimulationResult:
     quilt: object
@@ -484,7 +491,7 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
     cells = cell_lengths_at(refined, idx)
     if cells.degenerate():
         raise MatingError("degenerate cell lengths from the sub-grid refinement")
-    quilt, collisions = build_quilt(cells)
+    quilt, collisions = build_quilt_from_cells(cells)
     provenance = {
         "gamma": p.gamma,
         "epsilon": p.epsilon,
@@ -511,14 +518,16 @@ class CovarianceReport:
 def calibrate_covariance(p: MotParams, n_steps=10_000, rng=None) -> CovarianceReport:
     """Empirical per-step covariance of the increment generator vs target.
 
-    Measured on unconditioned increments: quadrant conditioning reweights
-    accepted paths, so the generator, not the accepted ensemble, is what the
-    covariance target specifies.
+    Measured on the sampler's own unconditioned increments, those of
+    :func:`_increment_mix`: quadrant conditioning reweights accepted paths,
+    so the generator, not the accepted ensemble, is what the covariance
+    target specifies.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
     dt = p.duration / p.steps
-    incs = rng.standard_normal((n_steps, 2)) @ _step_chol(p).T
+    z = rng.standard_normal((2, n_steps))
+    incs = np.column_stack(_increment_mix(p, z[0], z[1]))
     emp = (incs.T @ incs) / n_steps
     var_target = p.variance * dt
     cov_target = p.correlation * p.variance * dt

@@ -218,49 +218,14 @@ def from_faces(face_vertex_cycles, root_pair=None):
     same two vertices are not expressible here).  Returns ``(map, dart_of)``
     where ``dart_of[(u, v)]`` locates oriented edges in the result.
     ``root_pair`` picks the root dart; defaults to the first pair of the
-    first face.
+    first face.  A thin adapter over :func:`from_face_edge_cycles`, with the
+    edge between u and v labelled ``frozenset((u, v))``.
     """
-    pair_ids = {}
-    order = []
-    for cyc in face_vertex_cycles:
-        k = len(cyc)
-        if k < 2:
-            raise MapError("face cycles need at least 2 vertices")
-        for i in range(k):
-            u, v = cyc[i], cyc[(i + 1) % k]
-            if u == v:
-                raise MapError(f"degenerate edge at vertex {u!r}")
-            if (u, v) in pair_ids:
-                raise MapError(f"oriented edge {(u, v)!r} occurs twice")
-            pair_ids[(u, v)] = None
-            order.append((u, v))
-    for (u, v) in order:
-        if (v, u) not in pair_ids:
-            raise MapError(f"unmatched edge {(u, v)!r}: faces do not close up")
-
-    # assign dart ids in first-come edge order, twin-paired
-    k = 0
-    for (u, v) in order:
-        if pair_ids[(u, v)] is None:
-            pair_ids[(u, v)] = 2 * k
-            pair_ids[(v, u)] = 2 * k + 1
-            k += 1
-    n = 2 * k
-
-    # face successor phi (faces on the left), then ccw rotation = phi o twin
-    face_next = [0] * n
-    for cyc in face_vertex_cycles:
-        m = len(cyc)
-        for i in range(m):
-            u, v, w = cyc[i], cyc[(i + 1) % m], cyc[(i + 2) % m]
-            face_next[pair_ids[(u, v)]] = pair_ids[(v, w)]
-    nxt = [face_next[d ^ 1] for d in range(n)]
-    if root_pair is None:
-        cyc = face_vertex_cycles[0]
-        root_pair = (cyc[0], cyc[1])
-    root = pair_ids[root_pair]
-    m = _finish(tuple(nxt), root)
-    return m, pair_ids
+    cycles = [[(u, frozenset((u, v))) for u, v in zip(cyc, [*cyc[1:], *cyc[:1]])]
+              for cyc in face_vertex_cycles]
+    root_key = None if root_pair is None else (root_pair[0], frozenset(root_pair))
+    m, darts = from_face_edge_cycles(cycles, root_key)
+    return m, {(u, v): d for (u, e), d in darts.items() for v in e - {u}}
 
 
 def from_face_edge_cycles(cycles, root_key=None):
@@ -373,8 +338,9 @@ def to_text(m: HalfEdgeMap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_text(text: str) -> HalfEdgeMap:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+def read_dart_rows(lines):
+    """(next, twin) lists from stripped non-empty lines: the ``E=<n>``
+    header, then 2n ``next twin`` lines; later lines are left to the caller."""
     if not lines or not lines[0].startswith("E="):
         raise ParseError("expected header line 'E=<n>'")
     try:
@@ -384,8 +350,13 @@ def from_text(text: str) -> HalfEdgeMap:
         raise ParseError(f"malformed map text: {exc}") from exc
     if len(rows) != 2 * n_edges or any(len(r) != 2 for r in rows):
         raise ParseError("expected 2*E dart lines of 'next twin'")
+    return [r[0] for r in rows], [r[1] for r in rows]
+
+
+def from_text(text: str) -> HalfEdgeMap:
+    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     try:
-        return build_map([r[0] for r in rows], [r[1] for r in rows], 0)
+        return build_map(*read_dart_rows(lines), 0)
     except MapError as exc:
         raise ParseError(f"not a valid map: {exc}") from exc
 
@@ -393,9 +364,10 @@ def from_text(text: str) -> HalfEdgeMap:
 # --- small classical fixtures ----------------------------------------------------
 
 def polygon_map(k: int) -> HalfEdgeMap:
-    """Cycle on k vertices (k >= 2): V=k, E=k, F=2."""
-    cycle = list(range(k))
-    m, _ = from_faces([cycle, list(reversed(cycle))])
+    """Cycle on k vertices (k >= 2): V=k, E=k, F=2; edge i joins i and i+1."""
+    inner = [(i, i) for i in range(k)]
+    outer = [((i + 1) % k, i) for i in reversed(range(k))]
+    m, _ = from_face_edge_cycles([inner, outer])
     return m
 
 

@@ -116,9 +116,7 @@ class Template:
     def terminal_vertex(self, f):
         """Clockwise of the root for 3-gons; opposite the root for 2-/4-gons."""
         k = self.k_gon(f)
-        if k == 3:
-            return self.marks[f][2]
-        if k == 4:
+        if k in (3, 4):
             return self.marks[f][2]
         if k == 2:
             return self.marks[f][1]
@@ -333,20 +331,16 @@ def with_face_order(t: Template) -> Template:
 # --- side-length change of variables -----------------------------------------------
 
 
-def coordinate_sides(t: Template):
-    """The 4n+3 coordinate sides in canonical order.
-
-    Returns (rows, left_flags) where rows are (face, side_index, name) and
-    left_flags marks the "left" sides (l0+, li-, li+).
+def coordinate_sides(order):
+    """The 4n+3 coordinate sides of the face order (F_ext, F_0, ..., F_{n+1})
+    in canonical order, as rows (face, side_index, name).  The "left" sides
+    (l0+, li-, li+) are the rows whose name starts with "l".
     """
-    order, n = _gon_profile_order(t)
     f0 = order[1]
     rows = [(f0, 2, "l0+"), (f0, 0, "r0-"), (f0, 1, "r0+")]
-    left = [True, False, False]
     for i, f in enumerate(order[2:-1], start=1):
         rows += [(f, 3, f"l{i}-"), (f, 2, f"l{i}+"), (f, 0, f"r{i}-"), (f, 1, f"r{i}+")]
-        left += [True, True, False, False]
-    return rows, left
+    return rows
 
 
 @dataclass(frozen=True)
@@ -364,33 +358,29 @@ class DeterminantReport:
         return abs(self.det) == 1
 
 
-def _left_tree_contour(t: Template, tree_edges, f0):
-    """First-visit order of tree edges along the contour of the left tree,
-    starting at the root of F_0 along the l0+ side."""
-    m = t.map
+def _left_tree_contour(m: pm.HalfEdgeMap, tree_edges, start):
+    """First-visit order of ``tree_edges`` along their contour from the dart
+    ``start`` (a dart of one of them), or None when they are not a tree.
+
+    At each head vertex the walk turns onto the next tree edge
+    counterclockwise, so it traces the face of the plane subgraph T left of
+    ``start``; being an orbit of a permutation of T's darts, it closes.  A
+    face stays in one component, and a connected plane graph with a single
+    face is a tree, so the face has length 2|T| exactly when T is a tree.
+    """
     in_tree = set(tree_edges)
-    last = t.side_dart_paths(f0)[2][-1]  # l0+ side ends at the root vertex
-    start = last ^ 1
     first_visit = {}
     d = start
     steps = 0
-    limit = 2 * len(in_tree) + 1
     while True:
-        e = d >> 1
-        if e not in first_visit:
-            first_visit[e] = steps
+        first_visit.setdefault(d >> 1, steps)
         steps += 1
-        c = m.next_dart[d ^ 1]
-        while (c >> 1) not in in_tree:
-            c = m.next_dart[c]
-        d = c
+        d = m.next_dart[d ^ 1]
+        while (d >> 1) not in in_tree:
+            d = m.next_dart[d]
         if d == start:
             break
-        if steps > 2 * limit:
-            raise TemplateError("left-tree contour failed to close")
-    if steps != 2 * len(in_tree):
-        raise TemplateError("left-tree contour did not traverse each edge twice")
-    return first_visit
+    return first_visit if steps == 2 * len(in_tree) else None
 
 
 def side_length_map_determinant(t: Template) -> DeterminantReport:
@@ -399,95 +389,61 @@ def side_length_map_determinant(t: Template) -> DeterminantReport:
     Rows are the coordinate side lengths (l0+, r0-, r0+, li-/+, ri-/+);
     columns are all edges except the single edge bordered only by the
     external face and the final 2-gon.  Also verifies the structure behind
-    the unit-determinant proof: the left sides' edges form a spanning tree
-    with 2n+1 edges, each of which is the contour-earliest edge of exactly
-    one left side, making the left block unitriangular.  Raises SingularMap
-    if |det| != 1.
+    the unit-determinant proof: the left sides' edges form a tree through
+    F_0's root with 2n+1 edges (shown by the length of its contour), each of
+    which is the contour-earliest edge of exactly one left side, making the
+    left block unitriangular.  Each face's sides are walked once.  Raises
+    SingularMap if |det| != 1.
     """
     t = with_face_order(t)
-    rows, left_flags = coordinate_sides(t)
     order, n = _gon_profile_order(t)
-    f0 = order[1]
-
-    side_edge_sets = []
-    covered = set()
-    left_edges = set()
-    right_edges = set()
-    for (f, j, _name), is_left in zip(rows, left_flags):
-        edges = t.side_edges(f)[j]
-        side_edge_sets.append(edges)
-        covered.update(edges)
-        (left_edges if is_left else right_edges).update(edges)
+    rows = coordinate_sides(order)
+    paths = {f: t.side_dart_paths(f) for f in order[1:-1]}  # the faces in rows
+    row_edges = [[d >> 1 for d in paths[f][j]] for f, j, _ in rows]
+    is_left = [name[0] == "l" for _, _, name in rows]
+    left_sides = [edges for edges, left in zip(row_edges, is_left) if left]
+    left_edges = {e for edges in left_sides for e in edges}
+    right_edges = {e for edges, left in zip(row_edges, is_left) if not left for e in edges}
 
     if left_edges & right_edges:
         raise SingularMap("an edge lies on both a left and a right side")
+    covered = left_edges | right_edges
     dropped = sorted(set(range(t.map.n_edges)) - covered)
     if len(dropped) != 1:
         raise SingularMap(f"expected exactly one uncovered edge, got {dropped}")
-
     cols = sorted(covered)
-    col_of = {e: i for i, e in enumerate(cols)}
-    matrix = [[0] * len(cols) for _ in rows]
-    for r, edges in enumerate(side_edge_sets):
-        for e in edges:
-            matrix[r][col_of[e]] = 1
     if len(cols) != len(rows):
         raise SingularMap(f"matrix is {len(rows)}x{len(cols)}, not square")
 
+    col_of = {e: i for i, e in enumerate(cols)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for r, edges in enumerate(row_edges):
+        for e in edges:
+            matrix[r][col_of[e]] = 1
     det = bareiss_determinant(matrix)
     sign, logabs = np.linalg.slogdet(np.array(matrix, dtype=float))
     det_float = float(sign * np.exp(logabs)) if sign != 0 else 0.0
 
-    # left-tree structure: 2n+1 edges forming a tree containing F_0's root
+    # the contour starts at F_0's root, along the last dart of l0+ reversed
     tree = sorted(left_edges)
-    tree_ok = len(tree) == 2 * n + 1
-    span = set()
-    adj = {}
-    for e in tree:
-        u, v = t.map.edge_vertices(e)
-        span.update((u, v))
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    root_v = t.root_vertex(f0)
-    reached = set()
-    if root_v in span:
-        stack = [root_v]
-        reached.add(root_v)
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-    acyclic = reached == span and len(span) == len(tree) + 1
+    visit = None
+    if len(tree) == 2 * n + 1:
+        visit = _left_tree_contour(t.map, tree, paths[order[1]][2][-1] ^ 1)
     bijection_ok = False
-    triangular_ok = False
-    if tree_ok and acyclic:
-        visit = _left_tree_contour(t, tree, f0)
-        left_sides = [
-            t.side_edges(f)[j]
-            for (f, j, _), is_left in zip(rows, left_flags)
-            if is_left
-        ]
-        earliest = [min(edges, key=lambda e: visit[e]) for edges in left_sides]
+    if visit is not None:
+        earliest = [min(edges, key=visit.__getitem__) for edges in left_sides]
         bijection_ok = sorted(earliest) == tree
-        if bijection_ok:
-            # rows ordered by their earliest edge, columns by visit order:
-            # each side may only contain edges at or after its earliest one
-            rank = {e: i for i, e in enumerate(sorted(tree, key=lambda e: visit[e]))}
-            pairs = sorted(zip(earliest, left_sides), key=lambda p: rank[p[0]])
-            triangular_ok = all(
-                min(rank[e] for e in edges) == i
-                for i, (_, edges) in enumerate(pairs)
-            )
-
+    # Each left side's edges come at or after its earliest one in visit
+    # order, so once the earliest edges are a bijection onto the tree, the
+    # left block with rows by earliest edge and columns by visit order is
+    # unitriangular: the bijection is the triangularity.
     report = DeterminantReport(
         n=n,
         det=det,
         det_float=det_float,
         left_tree_size=len(tree),
-        bijection_ok=bool(bijection_ok),
-        triangular_ok=bool(triangular_ok),
+        bijection_ok=bijection_ok,
+        triangular_ok=bijection_ok,
         dropped_edge=dropped[0],
     )
     if abs(abs(det) - 1) > 0 or abs(abs(det_float) - 1.0) > DET_TOL:
@@ -778,13 +734,13 @@ def template_to_text(t: Template) -> str:
 
 
 def template_from_text(text: str) -> Template:
+    """Inverse of :func:`template_to_text`; ``ROOT`` names a dart in the
+    file's own labels, and the map is built once, rooted there."""
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines or not lines[0].startswith("E="):
-        raise ParseError("expected 'E=<n>' header")
+    nxt, twn = pm.read_dart_rows(lines)
     try:
-        n_edges = int(lines[0][2:])
         rest = [(ln, ln.split()[0], [int(x) for x in ln.split()[1:]])
-                for ln in lines[1 + 2 * n_edges:]]
+                for ln in lines[1 + len(nxt):]]
     except ValueError as exc:
         raise ParseError(f"malformed template text: {exc}") from exc
     root = 0
@@ -802,10 +758,8 @@ def template_from_text(text: str) -> Template:
             marks[vals[0]] = tuple(vals[1:])
         else:
             raise ParseError(f"unrecognized line {ln!r}")
-    body = "\n".join(lines[: 1 + 2 * n_edges]) + "\n"
-    m = pm.from_text(body)
     try:
-        m = pm.build_map(list(m.next_dart), [d ^ 1 for d in range(m.n_darts)], root)
+        m = pm.build_map(nxt, twn, root)
         return Template(map=m, marks=marks, holes=frozenset(holes), face_order=order)
     except (MapError, TemplateError) as exc:
         raise ParseError(f"not a valid template: {exc}") from exc

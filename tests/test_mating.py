@@ -10,6 +10,7 @@ import scipy.stats
 from quiltlab import _verify as vf
 from quiltlab import mating as mt
 from quiltlab import quilt as qt
+from quiltlab._builder import build_quilt_from_cells
 from quiltlab.errors import (
     ConstraintViolated,
     GammaOutOfRange,
@@ -202,6 +203,38 @@ def test_covariance_calibration():
     assert rep.max_rel_dev < 0.05
 
 
+@pytest.mark.parametrize("gamma, steps", SHIFT_SETTINGS)
+def test_increment_mix_is_the_oracle_step_cholesky(gamma, steps):
+    # the sampler's mix of unit increments is the oracle's Cholesky factor
+    p = mt.mot_params(gamma, 0.25, steps, 0)
+    mix = np.array(mt._increment_mix(p, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    assert np.allclose(mix, mt._step_chol(p), rtol=1e-12, atol=0.0)
+
+
+def _planted_mix(drop_rho, sd_scale):
+    """_increment_mix with a planted defect: no rho term, or a scaled sd."""
+    def mix(p, a, b, drift=0.0):
+        rho = p.correlation
+        sd = sd_scale * math.sqrt(p.variance * p.duration / p.steps)
+        L = sd * a
+        return L, drift + (0.0 if drop_rho else rho) * L + (math.sqrt(1.0 - rho * rho) * sd) * b
+    return mix
+
+
+@pytest.mark.parametrize("drop_rho, sd_scale", [(True, 1.0), (False, 1.2)],
+                         ids=["dropped-rho", "wrong-sd"])
+def test_calibration_catches_planted_mix_defect(monkeypatch, drop_rho, sd_scale):
+    p = mt.mot_params(1.0, 0.1, 64, 11)
+    honest = mt._cone_proposals(p, 50, np.random.default_rng(0))
+    monkeypatch.setattr(mt, "_increment_mix", _planted_mix(drop_rho, sd_scale))
+    # the defect reaches the sampler's proposals, and calibration sees it
+    planted = mt._cone_proposals(p, 50, np.random.default_rng(0))
+    assert not np.array_equal(honest[1], planted[1])
+    assert mt.calibrate_covariance(p, n_steps=10_000).max_rel_dev > 0.05
+    monkeypatch.setattr(mt, "_increment_mix", _planted_mix(False, 1.0))
+    assert mt.calibrate_covariance(p, n_steps=10_000).max_rel_dev < 0.05
+
+
 def test_poisson_single_part_probability(rng):
     # epsilon >> t: no Poisson points with probability e^{-t/eps}
     hits = sum(
@@ -357,7 +390,7 @@ def test_build_quilt_minimal_reproduces_lengths():
     L = np.array([0.0, 0.4, 0.3, 0.5, 0.0])
     R = np.array([1.0, 0.7, 0.9, 0.4, 0.0])
     cells = mt.cell_lengths_at(mt.ConeWalk(times=times, L=L, R=R), [2])
-    quilt, _ = mt.build_quilt(cells)
+    quilt, _ = build_quilt_from_cells(cells)
     t = quilt.template
     assert qt.validate_template(t).passed
     f0 = t.face_order[1]
@@ -374,7 +407,7 @@ def test_build_quilt_rejects_bad_cells():
     R = np.array([1.0, 0.7, 0.9, 0.4, 0.0])
     cells = mt.cell_lengths_at(mt.ConeWalk(times=times, L=L, R=R), [2])
     with pytest.raises(ConstraintViolated):
-        mt.build_quilt(cells)
+        build_quilt_from_cells(cells)
 
 
 def test_partition_mismatch():

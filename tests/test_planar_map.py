@@ -55,6 +55,27 @@ def test_quadrangulated_square_three_faces():
     assert m.is_spherical
 
 
+def test_from_faces_dart_of_locates_oriented_edges():
+    faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (3, 2, 1)]
+    m, dart_of = pm.from_faces(faces, root_pair=(0, 2))
+    assert m.root == dart_of[(0, 2)]
+    assert len(dart_of) == 12
+    tails = {}
+    for (u, v), d in dart_of.items():
+        assert dart_of[(v, u)] == d ^ 1
+        tails.setdefault(u, set()).add(m.vertex_of[d])
+    assert all(len(vs) == 1 for vs in tails.values())
+    assert len(set.union(*tails.values())) == 4
+
+
+def test_polygon_map_bigon():
+    m = pm.polygon_map(2)
+    assert (m.n_vertices, m.n_edges, m.n_faces) == (2, 2, 2)
+    assert m.is_spherical
+    assert [len(c) for c in m.face_cycles] == [2, 2]
+    assert [len(c) for c in m.vertex_cycles] == [2, 2]
+
+
 def test_twin_normalization():
     t = pm.polygon_map(4)
     for d in range(t.n_darts):

@@ -10,6 +10,7 @@ import pytest
 
 from quiltlab import curvature as cv
 
+from quiltlab import planar_map as pm
 from quiltlab import quilt as qt
 from quiltlab import quilt_enum as qe
 from quiltlab import quilt_winding as qw
@@ -148,6 +149,55 @@ def test_singular_map_raised_on_tampered_marks():
         return  # rejected even earlier: marks out of cycle order
     with pytest.raises((SingularMap, TemplateError)):
         qt.side_length_map_determinant(bad)
+
+
+def _left_tree(t):
+    """(left edges, right edges, contour start) of an ordered template."""
+    edges = {"l": set(), "r": set()}
+    for f, j, name in qt.coordinate_sides(t.face_order):
+        edges[name[0]].update(d >> 1 for d in t.side_dart_paths(f)[j])
+    start = t.side_dart_paths(t.face_order[1])[2][-1] ^ 1  # reversed end of l0+
+    return edges["l"], edges["r"], start
+
+
+def test_left_tree_contour_orders_the_left_tree():
+    t = build_template([(1, 2), (2, 1), (1, 3), (2, 2)])
+    left, _, start = _left_tree(t)
+    visit = qt._left_tree_contour(t.map, left, start)
+    assert set(visit) == left and len(set(visit.values())) == len(left)
+    assert visit[start >> 1] == 0 and max(visit.values()) < 2 * len(left)
+
+
+def test_left_tree_contour_rejects_a_cycle_and_a_forest():
+    t = build_template([(1, 2), (2, 1), (1, 3), (2, 2)])
+    left, _, start = _left_tree(t)
+    # F_0's right sides run from its root to its terminal, both on the tree
+    f0 = t.face_order[1]
+    r0 = {d >> 1 for j in (0, 1) for d in t.side_dart_paths(f0)[j]}
+    assert qt._left_tree_contour(t.map, left | r0, start) is None
+    # removing an edge with tree edges at both ends leaves two components
+    degree = {}
+    for e in left:
+        for v in t.map.edge_vertices(e):
+            degree[v] = degree.get(v, 0) + 1
+    cut = next(e for e in sorted(left) if e != start >> 1
+               and min(degree[v] for v in t.map.edge_vertices(e)) >= 2)
+    assert qt._left_tree_contour(t.map, left - {cut}, start) is None
+
+
+def test_left_tree_contour_on_a_square():
+    m = pm.polygon_map(4)  # edge i joins vertices i and i+1; dart 2i leaves i
+    assert qt._left_tree_contour(m, {0, 1, 2}, 0) == {0: 0, 1: 1, 2: 2}
+    assert qt._left_tree_contour(m, {0, 1, 2, 3}, 0) is None  # the closing edge
+    assert qt._left_tree_contour(m, {0, 2}, 0) is None  # two components
+
+
+def test_determinant_reports_a_failed_tree_proof(monkeypatch):
+    t = build_template([(1, 1), (2, 1)])
+    monkeypatch.setattr(qt, "_left_tree_contour", lambda m, tree, start: None)
+    rep = qt.side_length_map_determinant(t)
+    assert abs(rep.det) == 1 and rep.left_tree_size == 5
+    assert not rep.bijection_ok and not rep.triangular_ok
 
 
 def test_mark_positions_kept_from_validation(chain3):
@@ -717,6 +767,35 @@ def test_template_text_round_trip(chain3):
     again = qt.template_from_text(text)
     assert qt.template_to_text(again) == text
     assert qt.template_key(again) == qt.template_key(chain3)
+
+
+def test_template_text_with_relabelled_darts(chain3):
+    # the same template written with its darts permuted, so that twins are
+    # no longer paired 2k/2k+1: ROOT names the root in the file's labels
+    m = chain3.map
+    perm = list(range(m.n_darts))
+    random.Random(5).shuffle(perm)
+    nxt, twn = [0] * m.n_darts, [0] * m.n_darts
+    for d in range(m.n_darts):
+        nxt[perm[d]] = perm[m.next_dart[d]]
+        twn[perm[d]] = perm[d ^ 1]
+    assert any(twn[2 * k] != 2 * k + 1 for k in range(m.n_edges))
+    # ids of the map the file describes, matched to chain3's by the rooted
+    # canonical labelings
+    built = pm.build_map(nxt, twn, perm[m.root])
+    dart_at = {lab: d for d, lab in enumerate(pm.canonical_labeling(built))}
+    image = [dart_at[lab] for lab in pm.canonical_labeling(m)]
+    vert = {m.vertex_of[d]: built.vertex_of[image[d]] for d in range(m.n_darts)}
+    face = {m.face_of[d]: built.face_of[image[d]] for d in range(m.n_darts)}
+    lines = [f"E={m.n_edges}", *(f"{a} {b}" for a, b in zip(nxt, twn)),
+             f"ROOT {perm[m.root]}",
+             "ORDER " + " ".join(str(face[f]) for f in chain3.face_order),
+             *(f"MARKS {face[f]} " + " ".join(str(vert[v]) for v in mk)
+               for f, mk in chain3.marks.items())]
+    again = qt.template_from_text("\n".join(lines) + "\n")
+    assert again.map == built
+    assert qt.template_key(again) == qt.template_key(chain3)
+    assert qt.validate_template(again).passed
 
 
 def test_subtemplate_text_round_trip(chain3_sub):
