@@ -11,6 +11,10 @@ traced with the face on the LEFT.  When the map is drawn in the plane with
 the root face as the outer face, interior faces are traced counterclockwise
 and the outer face clockwise.
 
+Canonical id order, also fixed once: vertex and face ids follow each
+cycle's smallest dart, and every cycle starts at that dart.  Tracing the
+orbits from darts 0, 1, 2, ... in turn gives this order directly.
+
 Maps are immutable after construction and safe to share between workers.
 """
 
@@ -99,20 +103,23 @@ class HalfEdgeMap:
 
 
 def _orbits(perm):
+    """Cycles of ``perm``, each from its smallest dart, in order of that
+    dart, and the id of every dart's cycle."""
     n = len(perm)
-    seen = [False] * n
+    id_of = [-1] * n
     cycles = []
     for start in range(n):
-        if seen[start]:
+        if id_of[start] >= 0:
             continue
+        cid = len(cycles)
         cyc = []
         d = start
-        while not seen[d]:
-            seen[d] = True
+        while id_of[d] < 0:
+            id_of[d] = cid
             cyc.append(d)
             d = perm[d]
         cycles.append(tuple(cyc))
-    return cycles
+    return tuple(cycles), tuple(id_of)
 
 
 def build_map(next_permutation, twin_involution, root):
@@ -157,9 +164,8 @@ def build_map(next_permutation, twin_involution, root):
 
 def _finish(next_dart, root):
     n = len(next_dart)
-    vertex_cycles = _orbits(next_dart)
-    face_perm = [next_dart[d ^ 1] for d in range(n)]
-    face_cycles = _orbits(face_perm)
+    vertex_cycles, vertex_of = _orbits(next_dart)
+    face_cycles, face_of = _orbits([next_dart[d ^ 1] for d in range(n)])
 
     # connectivity: BFS over darts via next and twin
     seen = [False] * n
@@ -176,30 +182,11 @@ def _finish(next_dart, root):
     if count != n:
         raise DisconnectedMap(f"only {count} of {n} darts reachable from root")
 
-    # canonical id order: cycles sorted by smallest dart, rotated to start there
-    def canon(cycles):
-        out = []
-        for cyc in cycles:
-            i = cyc.index(min(cyc))
-            out.append(cyc[i:] + cyc[:i])
-        out.sort(key=lambda c: c[0])
-        return tuple(out)
-
-    vertex_cycles = canon(vertex_cycles)
-    face_cycles = canon(face_cycles)
-    vertex_of = [0] * n
-    for vid, cyc in enumerate(vertex_cycles):
-        for d in cyc:
-            vertex_of[d] = vid
-    face_of = [0] * n
-    for fid, cyc in enumerate(face_cycles):
-        for d in cyc:
-            face_of[d] = fid
     return HalfEdgeMap(
         next_dart=tuple(next_dart),
         root=root,
-        vertex_of=tuple(vertex_of),
-        face_of=tuple(face_of),
+        vertex_of=vertex_of,
+        face_of=face_of,
         vertex_cycles=vertex_cycles,
         face_cycles=face_cycles,
     )

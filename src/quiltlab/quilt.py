@@ -86,18 +86,21 @@ class Template:
         return self._mark_positions[f]
 
     def _find_mark_positions(self, f):
-        """Mark positions of face ``f``; raises if marks not in cycle order."""
+        """Mark positions of face ``f``, read in one pass over its cycle;
+        raises if marks not in cycle order."""
         cyc = self.map.face_cycles[f]
-        tails = [self.map.vertex_of[d] for d in cyc]
+        vertex_of = self.map.vertex_of
         mk = self.marks[f]
-        pos = []
+        hits = {v: [] for v in mk}
+        for i, d in enumerate(cyc):
+            if vertex_of[d] in hits:
+                hits[vertex_of[d]].append(i)
         for v in mk:
-            hits = [i for i, t in enumerate(tails) if t == v]
-            if len(hits) != 1:
+            if len(hits[v]) != 1:
                 raise TemplateError(
-                    f"marked vertex {v} occurs {len(hits)} times on face {f}"
+                    f"marked vertex {v} occurs {len(hits[v])} times on face {f}"
                 )
-            pos.append(hits[0])
+        pos = [hits[v][0] for v in mk]
         # cyclic increase starting from the root position
         k = len(pos)
         for i in range(1, k):
@@ -106,6 +109,13 @@ class Template:
             if not a < b:
                 raise TemplateError(f"marks of face {f} not in face-cycle order")
         return tuple(pos)
+
+    def _memo(self, name, compute):
+        """``compute(self)``, worked out once per template and kept on it
+        like the mark positions: not a field, so out of eq and repr."""
+        if name not in self.__dict__:
+            object.__setattr__(self, name, compute(self))
+        return self.__dict__[name]
 
     def k_gon(self, f):
         return len(self.marks[f])
@@ -219,7 +229,16 @@ def _gon_profile_order(t: Template):
 
 
 def validate_template(t: Template) -> ValidationReport:
-    """Check conditions (a)-(d) for an ordered template; per-condition report."""
+    """Check conditions (a)-(d) for an ordered template; per-condition report.
+
+    The report is worked out once per template and kept on it, so a template
+    that is validated again (a built quilt, then its caller) returns the
+    same report object.
+    """
+    return t._memo("_validation", _validate)
+
+
+def _validate(t: Template) -> ValidationReport:
     order, n = _gon_profile_order(t)
     f_ext, f0 = order[0], order[1]
     seq = order[1:]  # F_0 .. F_{n+1}
@@ -529,13 +548,18 @@ def mark_subtemplate(t: Template, faces) -> MarkedSubtemplate:
     if not sel or not sel <= set(t.marks):
         raise DisconnectedSelection("selection must be a nonempty set of faces")
 
-    # connectivity of the selection under shared edges
-    adj = {f: set() for f in range(m.n_faces)}
-    for e in range(m.n_edges):
-        a, b = m.edge_faces(e)
+    # face adjacency and the kept edges (those on a selected face), in one
+    # pass over the faces at the two sides of each edge
+    adj = [set() for _ in range(m.n_faces)]
+    kept_edge = []
+    face_of = m.face_of
+    for a, b in zip(face_of[::2], face_of[1::2]):
         if a != b:
             adj[a].add(b)
             adj[b].add(a)
+        kept_edge.append(a in sel or b in sel)
+
+    # connectivity of the selection under shared edges
     comp = {next(iter(sel))}
     stack = [next(iter(sel))]
     while stack:
@@ -566,35 +590,22 @@ def mark_subtemplate(t: Template, faces) -> MarkedSubtemplate:
                     stack.append(h)
         clusters.append(frozenset(bucket))
 
-    kept_edge = [
-        (m.edge_faces(e)[0] in sel) or (m.edge_faces(e)[1] in sel)
-        for e in range(m.n_edges)
-    ]
-    kept_dart = lambda d: kept_edge[d >> 1]
-
     # rotations restricted to kept darts
     rot = {}
     for v, cyc in enumerate(m.vertex_cycles):
-        kept = [d for d in cyc if kept_dart(d)]
+        kept = [d for d in cyc if kept_edge[d >> 1]]
         if kept:
             rot[v] = kept
 
     marked_vertices = {v for f in sel for v in t.marks[f]}
-
-    def sel_corner_count(v):
-        return len({g for g in m.vertex_faces(v) if g in sel})
-
-    twin = {}
-    for v, darts in rot.items():
-        for d in darts:
-            twin[d] = d ^ 1
-    path = {d: (d,) for v in rot for d in rot[v]}
+    # every path starts at its own dart: smoothing appends to the far end
+    twin = {d: d ^ 1 for darts in rot.values() for d in darts}
+    path = {d: (d,) for d in twin}
 
     # smooth removable degree-2 vertices
-    for v in sorted(rot):
-        if v in marked_vertices or sel_corner_count(v) >= 2:
-            continue
-        if len(rot[v]) != 2:
+    for v in list(rot):
+        if (len(rot[v]) != 2 or v in marked_vertices
+                or len(sel.intersection(m.vertex_faces(v))) >= 2):
             continue
         d1, d2 = rot[v]
         t1, t2 = twin[d1], twin[d2]
@@ -613,62 +624,49 @@ def mark_subtemplate(t: Template, faces) -> MarkedSubtemplate:
     survivors = sorted(path)
     # dense relabel with twins adjacent, edge order by smallest survivor dart
     new_id = {}
-    k = 0
     for d in survivors:
-        if d in new_id:
-            continue
-        new_id[d] = 2 * k
-        new_id[twin[d]] = 2 * k + 1
-        k += 1
-    nxt = [0] * (2 * k)
-    for v, darts in rot.items():
-        darts = [d for d in darts if d in new_id]
+        if d not in new_id:
+            new_id[d], new_id[twin[d]] = len(new_id), len(new_id) + 1
+    nxt = [0] * len(new_id)
+    for darts in rot.values():
         for i, d in enumerate(darts):
             nxt[new_id[d]] = new_id[darts[(i + 1) % len(darts)]]
-    twn = [0] * (2 * k)
-    for d in survivors:
-        twn[new_id[d]] = new_id[twin[d]]
 
-    # root: carried by the surviving dart whose path starts at the old root
-    root_candidates = [d for d in survivors if path[d][0] == m.root]
-    new_root = new_id[root_candidates[0]] if root_candidates else 0
+    # the root is carried by the surviving dart whose path starts at the old
+    # root; twins are already 2k, 2k+1, the labels build_map would normalize to
+    reduced = pm._finish(tuple(nxt), new_id.get(m.root, 0))
 
-    reduced = pm.build_map(nxt, twn, new_root)
-    # build_map's first-come normalization is the identity on our labels
-    expansion = {new_id[d]: path[d] for d in survivors}
-
-    # identify reduced faces with selected faces / clusters
+    # identify reduced faces with selected faces / clusters, and reduced
+    # vertices with parent vertices
+    expansion = {}
     face_from_parent = {}
-    for d_new, pth in expansion.items():
-        face_from_parent.setdefault(m.face_of[pth[0]], set()).add(
-            reduced.face_of[d_new]
-        )
+    vert_map = {}
+    for d in survivors:
+        d_new = new_id[d]
+        expansion[d_new] = path[d]
+        face_from_parent.setdefault(face_of[d], set()).add(reduced.face_of[d_new])
+        vert_map[m.vertex_of[d]] = reduced.vertex_of[d_new]
     new_marks = {}
     for f in sel:
         imgs = face_from_parent.get(f, set())
         if len(imgs) != 1:
             raise TemplateError(f"selected face {f} did not survive cleanly")
         (nf,) = imgs
-        vert_map = {}
-        for d_new, pth in expansion.items():
-            vert_map[m.vertex_of[pth[0]]] = reduced.vertex_of[d_new]
         new_marks[nf] = tuple(vert_map[v] for v in t.marks[f])
-    hole_face = {}
+    hole_labels = []
     for cid, bucket in enumerate(clusters):
-        imgs = set()
-        for f in bucket:
-            imgs |= face_from_parent.get(f, set())
+        imgs = set().union(*(face_from_parent.get(f, ()) for f in bucket))
         if len(imgs) != 1:
             raise TemplateError(f"cluster {cid} is not a disk (boundary has {len(imgs)} rings)")
-        hole_face[cid] = next(iter(imgs))
-    holes = frozenset(hole_face.values())
+        hole_labels += imgs
+    holes = frozenset(hole_labels)
     if len(holes) != len(clusters):
         raise TemplateError("two clusters merged into one hole")
 
     sub = Template(map=reduced, marks=new_marks, holes=holes, face_order=None)
     return MarkedSubtemplate(
         template=sub,
-        hole_labels=tuple(hole_face[c] for c in range(len(clusters))),
+        hole_labels=tuple(hole_labels),
         parent=t,
         parent_faces=sel,
         cluster_faces=tuple(clusters),
@@ -683,39 +681,51 @@ def template_key(t: Template, marked=None) -> bytes:
     """Isomorphism key of a rooted template (optionally with a marked-face
     set): BFS-canonical map code plus relabeled marks, holes (labelled by
     first encounter), and tags."""
+    if marked is None:
+        return _canonical(t)[1]
     return _labeled_key(t, pm.canonical_labeling(t.map), marked)
 
 
+def _canonical(t: Template):
+    """(canonical labeling, ``template_key``) of ``t``, worked out once per
+    template: a subtemplate matched against many leaves is labelled once."""
+
+    def compute(t):
+        label = pm.canonical_labeling(t.map)
+        return label, _labeled_key(t, label)
+
+    return t._memo("_canonical", compute)
+
+
 def _labeled_key(t: Template, label, marked=None) -> bytes:
-    """``template_key`` of ``t`` from its canonical labeling ``label``."""
-
-    def vkey(v):
-        return min(label[d] for d in t.map.vertex_cycles[v])
-
-    def fkey(f):
-        return min(label[d] for d in t.map.face_cycles[f])
-
-    parts = [pm.code_from_labeling(t.map, label).decode("ascii")]
-    for f in sorted(range(t.map.n_faces), key=fkey):
+    """``template_key`` of ``t`` from its canonical labeling ``label``; each
+    vertex's and face's smallest label is read once."""
+    m = t.map
+    vkey = [min(map(label.__getitem__, cyc)) for cyc in m.vertex_cycles]
+    fkey = [min(map(label.__getitem__, cyc)) for cyc in m.face_cycles]
+    parts = [pm.code_from_labeling(m, label).decode("ascii")]
+    for f in sorted(range(m.n_faces), key=fkey.__getitem__):
         if f in t.holes:
-            parts.append(f"F{fkey(f)}:HOLE")
+            parts.append(f"F{fkey[f]}:HOLE")
         else:
-            mk = ",".join(str(vkey(v)) for v in t.marks[f])
+            mk = ",".join(str(vkey[v]) for v in t.marks[f])
             tag = ""
             if marked is not None:
                 tag = ":M" if f in marked else ":U"
-            parts.append(f"F{fkey(f)}:{mk}{tag}")
+            parts.append(f"F{fkey[f]}:{mk}{tag}")
     return "|".join(parts).encode("ascii")
 
 
 def template_iso(a: Template, b: Template):
     """Dart bijection realizing a rooted isomorphism a -> b, or None."""
-    la = pm.canonical_labeling(a.map)
-    lb = pm.canonical_labeling(b.map)
-    if _labeled_key(a, la) != _labeled_key(b, lb):
+    la, key_a = _canonical(a)
+    lb, key_b = _canonical(b)
+    if key_a != key_b:
         return None
-    inv_b = {lab: d for d, lab in enumerate(lb)}
-    return {d: inv_b[la[d]] for d in range(a.map.n_darts)}
+    inv_b = [0] * len(lb)
+    for d, lab in enumerate(lb):
+        inv_b[lab] = d
+    return {d: inv_b[lab] for d, lab in enumerate(la)}
 
 
 # --- serialization ---------------------------------------------------------------------

@@ -37,7 +37,9 @@ A closed leaf is reduced onto the subtemplate once, by ``_filling``, the
 one constructor of a ``Filling``: the filling keeps the dart paths of the
 subtemplate's darts and its clusters in hole order, and the composition,
 the product bijection check and ``quilt_winding`` read that view instead of
-reducing the filling again.
+reducing the filling again.  The subtemplate is labelled once per template:
+its canonical labeling and key stay on it, so each leaf's match labels only
+the leaf's reduction.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .quilt import (
     MarkedSubtemplate,
     Template,
     mark_subtemplate,
-    recover_face_order,
     template_iso,
     template_key,
     validate_template,
+    with_face_order,
 )
 
 
@@ -601,11 +603,7 @@ def compose_fillings(tsub: MarkedSubtemplate, sources):
             marks[fid] = tuple(
                 vmap[vname(j, v)] for v in g.template.marks[gf]
             )
-    template = Template(map=hmap, marks=marks, holes=frozenset(), face_order=None)
-    template = Template(
-        map=hmap, marks=marks, holes=frozenset(),
-        face_order=recover_face_order(template),
-    )
+    template = with_face_order(Template(map=hmap, marks=marks, holes=frozenset()))
     report = validate_template(template)
     if not report.passed:
         raise BijectionViolation(

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quiltlab import planar_map as pm
@@ -123,6 +123,28 @@ def test_canonical_code_relabel_invariant(seed):
     random.Random(seed).shuffle(perm)
     relabeled = pm.relabel_map(t, perm)
     assert pm.canonical_code(relabeled) == pm.canonical_code(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 10_000))
+def test_cycles_start_at_their_smallest_dart_in_order(n_edges, seed):
+    rnd = random.Random(seed)
+    n = 2 * n_edges
+    nxt = list(range(n))
+    rnd.shuffle(nxt)
+    pairs = list(range(n))
+    rnd.shuffle(pairs)
+    twn = [0] * n
+    for a, b in zip(pairs[::2], pairs[1::2]):
+        twn[a], twn[b] = b, a
+    try:
+        m = pm.build_map(nxt, twn, rnd.randrange(n))
+    except DisconnectedMap:
+        assume(False)
+    for cycles, id_of in ((m.vertex_cycles, m.vertex_of), (m.face_cycles, m.face_of)):
+        assert all(cyc[0] == min(cyc) for cyc in cycles)
+        assert [cyc[0] for cyc in cycles] == sorted(cyc[0] for cyc in cycles)
+        assert all(id_of[d] == i for i, cyc in enumerate(cycles) for d in cyc)
 
 
 def test_text_round_trip():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -68,6 +69,28 @@ def test_all_small_templates_valid():
         assert qt.recover_face_order(t) == t.face_order
         count += 1
     assert count == 4
+
+
+def test_validation_report_kept_on_the_template():
+    t = build_template([(1, 1), (1, 2)])
+    before = repr(t)
+    report = qt.validate_template(t)
+    assert qt.validate_template(t) is report
+    rebuilt = qt.Template(map=t.map, marks=t.marks, holes=t.holes, face_order=t.face_order)
+    assert rebuilt == t and repr(rebuilt) == repr(t) == before
+    fresh = qt.validate_template(rebuilt)
+    assert fresh is not report and fresh == report and fresh.passed
+
+
+def test_canonical_labeling_kept_on_the_template(chain3_sub):
+    t = chain3_sub.template
+    label, key = qt._canonical(t)
+    assert qt._canonical(t)[0] is label and qt.template_key(t) is key
+    assert label == pm.canonical_labeling(t.map)
+    assert key == qt._labeled_key(t, label)
+    copy = qt.Template(map=t.map, marks=t.marks, holes=t.holes)
+    assert copy == t and repr(copy) == repr(t)
+    assert qt.template_iso(t, copy) == {d: d for d in range(t.map.n_darts)}
 
 
 def test_missing_order(minimal):
@@ -333,6 +356,44 @@ FILLING_DIGESTS = {
 }
 
 
+# sha256 of each hole's projection keys (newline-joined, in filling order),
+# measured on the reduction that rebuilt every map through build_map
+PROJECTION_DIGESTS = {
+    "chain": ("67918a5748e000612d5efd6e8c13924ddf869e3367b2e2f9ba67f480e78dd269",
+              "825c7cddc8a6f0f583fc84a44561d07ee73611781892f5e2dc261d875be6010f"),
+    "wide": ("6f644bed86617df52b67e1500cd5475d55ed0e1988b34c5a027190a3ffed661d",
+             "7dc889d422aa075a3ae7087d6ff53517c8bd16ee3f4c4fdd196cdab8fa570d66"),
+    "two-pass": ("492274942dba749e83eb611a8feece1440bd4e94408d66cec6bc3a6269166691",
+                 "c370c0aced4165fbb940aad6846b31594975b90d396e4e5571fc5a0f7cbe336f"),
+    "chain-4-1": ("1fa97c407174fdecd229c921605ff024b51ea56ec8578e058491a8c83e8e2007",
+                  "db6d35a11989e82abb9781b50783fc54e4cd13a2b96265c85cf145e18e95e79e"),
+}
+# (leaf reductions, sha256 of their newline-joined reprs) of the chain (2, 2)
+# search; each repr is (key, hole labels, sorted clusters, sorted expansion)
+LEAF_REDUCTION_DIGEST = (
+    50, "ba842713e95ae6e9c14b7d5f9404451921646fd5b9d1c346e4e7a3b1be20a1b8")
+
+
+@functools.cache
+def _digest_fixture(name):
+    moves, holes, budgets, _, _ = FILLING_DIGESTS[name]
+    tsub = build_subtemplate(moves, holes)
+    return tsub, qe.enumerate_fillings(tsub, budgets)
+
+
+def _recorded_reductions(monkeypatch):
+    """Every template ``quilt_enum`` reduces from now on, with its reduction."""
+    seen = []
+    reduce = qe.mark_subtemplate
+
+    def recording(t, faces):
+        seen.append(reduce(t, faces))
+        return seen[-1]
+
+    monkeypatch.setattr(qe, "mark_subtemplate", recording)
+    return seen
+
+
 def _reference_view(tsub, filling):
     """A filling's view rebuilt by reducing it again: dart paths, clusters
     and the filling-vertex -> subtemplate-vertex map."""
@@ -360,13 +421,49 @@ def _assert_view_matches_reference(tsub, filling):
 
 @pytest.mark.parametrize("name", sorted(FILLING_DIGESTS))
 def test_fillings_byte_identical(name):
-    moves, holes, budgets, count, digest = FILLING_DIGESTS[name]
-    tsub = build_subtemplate(moves, holes)
-    fills = qe.enumerate_fillings(tsub, budgets)
+    _, _, _, count, digest = FILLING_DIGESTS[name]
+    tsub, fills = _digest_fixture(name)
     assert len(fills) == count
     assert hashlib.sha256(b"".join(f.key for f in fills)).hexdigest() == digest
     for f in fills:
         _assert_view_matches_reference(tsub, f)
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTION_DIGESTS))
+def test_projection_keys_byte_identical(name):
+    tsub, fills = _digest_fixture(name)
+    got = tuple(
+        hashlib.sha256(b"\n".join(
+            qt.template_key(qe.project_filling(tsub, f, i).template) for f in fills
+        )).hexdigest()
+        for i in range(tsub.n_holes))
+    assert got == PROJECTION_DIGESTS[name]
+
+
+def test_leaf_reductions_byte_identical(monkeypatch):
+    tsub = build_subtemplate(*FIXTURES["chain"])
+    reductions = _recorded_reductions(monkeypatch)
+    qe.enumerate_fillings(tsub, (2, 2))
+    reprs = [repr((qt.template_key(r.template), r.hole_labels,
+                   tuple(tuple(sorted(c)) for c in r.cluster_faces),
+                   sorted(r.dart_expansion.items()))).encode() for r in reductions]
+    assert (len(reprs), hashlib.sha256(b"\n".join(reprs)).hexdigest()) == (
+        LEAF_REDUCTION_DIGEST)
+
+
+def test_reduced_map_is_build_map_of_its_arrays(monkeypatch):
+    # mark_subtemplate builds its map from arrays whose twins are already
+    # 2k, 2k+1, skipping build_map's normalization, which is the identity there
+    maps = [build_subtemplate(*FIXTURES[name]).template.map for name in sorted(FIXTURES)]
+    reductions = _recorded_reductions(monkeypatch)
+    for name in sorted(FIXTURES):
+        tsub = build_subtemplate(*FIXTURES[name])
+        fills = qe.enumerate_fillings(tsub, (2, 2))
+        qe.verify_product_bijection(tsub, (2, 2), constructive=False, fillings=fills)
+    maps += [r.template.map for r in reductions]
+    assert len(maps) > 3
+    for m in maps:
+        assert pm.build_map(m.next_dart, [d ^ 1 for d in range(m.n_darts)], m.root) == m
 
 
 def test_composed_filling_view_matches_reduction(chain3_sub, monkeypatch):
