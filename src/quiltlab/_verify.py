@@ -148,7 +148,7 @@ def check_winding_labels(seed, faulty=False, scale="quick"):
         fixtures[name] = {"fillings": len(fills), "pairs": len(pairs)}
     if faulty:
         worst += 1.0
-    return worst < qw.LABEL_TOL, {"fixtures": fixtures, "max_difference": worst}
+    return qw.labels_agree(worst), {"fixtures": fixtures, "max_difference": worst}
 
 
 def check_mating_pipeline(seed, faulty=False, scale="quick"):

@@ -4,8 +4,8 @@ Subcommands: meander {count,verify,classes}, curvature, quilt {validate,
 verify-bijection,determinant,winding-labels}, mating {simulate,calibrate},
 fields {rotate,kirchhoff,partition-identity}, verify-all.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or a
-malformed input file (ParseError).  All numeric reports carry provenance
+Exit codes: 0 success, 1 verification failure, 2 usage error (UsageError)
+or a malformed input file (ParseError).  All numeric reports carry provenance
 (version, seed, parameters); JSON output is canonical (sorted keys, fixed
 float formatting) so reruns with the same seed are byte-identical.  The
 environment variable QUILTLAB_SEED overrides --seed everywhere.
@@ -29,7 +29,7 @@ from . import quilt as qt
 from . import quilt_enum as qe
 from . import quilt_winding as qw
 from . import curvature as cv
-from .errors import ParseError, QuiltLabError
+from .errors import ParseError, QuiltLabError, UsageError
 from ._verify import run_verify_all
 
 EXIT_OK = 0
@@ -181,15 +181,24 @@ def cmd_quilt_determinant(args):
     return EXIT_OK if report.unit else EXIT_FAIL
 
 
-def _subtemplate_from_file(path, hole_ids):
-    """Rebuild a MarkedSubtemplate by reducing a parent template file."""
+def _subtemplate_from_file(path, holes):
+    """Rebuild a MarkedSubtemplate by reducing a parent template file at
+    ``holes``, the comma-separated ids of faces of its map."""
     t = qt.with_face_order(_load_template(path))
-    marked = sorted(set(range(t.map.n_faces)) - set(int(x) for x in hole_ids))
+    try:
+        hole_ids = {int(x) for x in holes.split(",")}
+    except ValueError:
+        raise UsageError(f"--holes takes comma-separated face ids, got {holes!r}") from None
+    unknown = sorted(hole_ids - set(range(t.map.n_faces)))
+    if unknown:
+        raise UsageError(f"--holes {unknown} are not faces of {path} "
+                         f"(ids 0..{t.map.n_faces - 1})")
+    marked = sorted(set(range(t.map.n_faces)) - hole_ids)
     return qt.mark_subtemplate(t, marked)
 
 
 def cmd_quilt_verify_bijection(args):
-    tsub = _subtemplate_from_file(args.infile, args.holes.split(","))
+    tsub = _subtemplate_from_file(args.infile, args.holes)
     report = qe.verify_product_bijection(
         tsub, args.budget, constructive=not args.no_compose
     )
@@ -206,7 +215,7 @@ def cmd_quilt_verify_bijection(args):
 
 
 def cmd_quilt_winding_labels(args):
-    tsub = _subtemplate_from_file(args.infile, args.holes.split(","))
+    tsub = _subtemplate_from_file(args.infile, args.holes)
     fills = qe.enumerate_fillings(tsub, args.budget)
     if len(fills) < 2:
         print("need at least two fillings", file=sys.stderr)
@@ -224,7 +233,7 @@ def cmd_quilt_winding_labels(args):
         "max_difference": worst,
         "labels_pi_units": {str(k): v / math.pi for k, v in sorted(labels.items())},
     })
-    return EXIT_OK if worst <= qw.LABEL_TOL else EXIT_FAIL
+    return EXIT_OK if qw.labels_agree(worst) else EXIT_FAIL
 
 
 # --- mating ----------------------------------------------------------------------
@@ -464,11 +473,15 @@ def main(argv=None):
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else EXIT_OK
     seed_env = os.environ.get("QUILTLAB_SEED")
-    if seed_env is not None and hasattr(args, "seed"):
-        args.seed = int(seed_env)
     try:
+        if seed_env is not None and hasattr(args, "seed"):
+            try:
+                args.seed = int(seed_env)
+            except ValueError:
+                raise UsageError(
+                    f"QUILTLAB_SEED must be an integer, got {seed_env!r}") from None
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuiltLabError as exc:

@@ -9,6 +9,10 @@ class ParseError(QuiltLabError, ValueError):
     """Malformed input text: a template, map, graph or polyline file."""
 
 
+class UsageError(QuiltLabError, ValueError):
+    """A command-line value that is malformed or does not fit its input."""
+
+
 # --- planar map construction -------------------------------------------------
 
 class MapError(QuiltLabError, ValueError):

@@ -19,10 +19,22 @@ junction vertex: the wedge bisector of the corner the curve departs into.
 At hole-boundary vertices that wedge is determined by the frozen
 subtemplate geometry (filling subdivision points sit on the frozen
 polylines), so pinned directions are filling-independent.
+
+Work split.  ``embed_subtemplate`` computes, once per subtemplate, a
+``SubtemplateGeometry`` holding the subtemplate's embedding, the junction
+directions, the frozen curve of every subtemplate face (their clearances
+measured in one batch), every dart's frozen two-segment polyline with its
+segment lengths, and the curve graph.  Per filling, ``winding_label_values``
+builds the filling-to-subtemplate vertex map once, places the subdivision
+points of all darts on the frozen polylines in one array pass, solves one
+harmonic system assembled from integer node ids, measures the clearances
+of all cluster faces in one batch, and draws only the cluster faces.  The
+batched steps give the same floats as one face, dart or node at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +52,12 @@ from .errors import EmbeddingDegenerate, InvalidChoice, TemplateError
 from .quilt import MarkedSubtemplate, Template
 
 LABEL_TOL = 1e-6
+
+
+def labels_agree(max_difference):
+    """The acceptance rule for winding labels: two fillings agree when no
+    label differs by more than LABEL_TOL."""
+    return max_difference <= LABEL_TOL
 
 
 def _outer_face(t: Template):
@@ -101,62 +119,78 @@ def _geometric_embed(t: Template, pinned):
     maps node keys to positions; every other node is placed at the average
     of its neighbors (midpoints tie endpoints to their edges' faces,
     phantoms tie faces to their corners).  The outer face has no phantom.
+
+    The system is assembled from integer node ids, vertices then midpoints
+    then phantoms, as (node, neighbor) pairs.  Each node's pairs run in
+    the order of its neighbor list: a midpoint's two ends then its faces, a
+    vertex's midpoints then its faces, a phantom's midpoints then its
+    corners.  The right-hand side therefore sums each node's pinned
+    neighbors in that order.
     """
     m = t.map
     outer = _outer_face(t)
-    nodes = []
-    nodes += [("v", v) for v in range(m.n_vertices)]
-    nodes += [("m", e) for e in range(m.n_edges)]
-    nodes += [("f", f) for f in range(m.n_faces) if f != outer]
+    nv, ne = m.n_vertices, m.n_edges
+    faces = [f for f in range(m.n_faces) if f != outer]
+    keys = [("v", v) for v in range(nv)]
+    keys += [("m", e) for e in range(ne)]
+    keys += [("f", f) for f in faces]
+    phantom = np.full(m.n_faces, -1)
+    phantom[faces] = np.arange(nv + ne, len(keys))
 
-    adj = {key: [] for key in nodes}
-    for e in range(m.n_edges):
-        u, w = m.edge_vertices(e)
-        adj[("m", e)] += [("v", u), ("v", w)]
-        adj[("v", u)].append(("m", e))
-        adj[("v", w)].append(("m", e))
-        for f in m.edge_faces(e):
-            if f != outer:
-                adj[("m", e)].append(("f", f))
-                adj[("f", f)].append(("m", e))
-    for f in range(m.n_faces):
-        if f == outer:
-            continue
-        for d in m.face_cycles[f]:
-            v = m.vertex_of[d]
-            adj[("f", f)].append(("v", v))
-            adj[("v", v)].append(("f", f))
+    vertex_of = np.array(m.vertex_of)
+    face_of = phantom[np.array(m.face_of)]
+    mid = nv + (np.arange(m.n_darts) >> 1)  # midpoint of each dart's edge
+    inner = face_of >= 0
+    corners = np.concatenate([m.face_cycles[f] for f in faces])
+    corner_face = np.repeat(phantom[faces], [len(m.face_cycles[f]) for f in faces])
+    node = np.concatenate([mid, vertex_of, mid[inner], face_of[inner],
+                           corner_face, vertex_of[corners]])
+    nbr = np.concatenate([vertex_of, mid, face_of[inner], mid[inner],
+                          vertex_of[corners], corner_face])
 
-    free = [key for key in nodes if key not in pinned]
-    pos = {k: np.asarray(p, dtype=float) for k, p in pinned.items()}
-    if free:
-        index = {k: i for i, k in enumerate(free)}
-        a = np.zeros((len(free), len(free)))
-        rhs = np.zeros((len(free), 2))
-        for k in free:
-            i = index[k]
-            for nb in adj[k]:
-                a[i, i] += 1.0
-                if nb in index:
-                    a[i, index[nb]] -= 1.0
-                else:
-                    rhs[i] += pos[nb]
+    offset = {"v": 0, "m": nv}
+    xy = np.zeros((len(keys), 2))
+    is_pinned = np.zeros(len(keys), dtype=bool)
+    pos = {}
+    for key, p in pinned.items():
+        p = pos[key] = np.asarray(p, dtype=float)
+        kind, x = key
+        i = phantom[x] if kind == "f" else offset[kind] + x
+        if i >= 0:
+            xy[i] = p
+            is_pinned[i] = True
+    free = np.flatnonzero(~is_pinned)
+    if free.size:
+        n = free.size
+        index = np.full(len(keys), -1)
+        index[free] = np.arange(n)
+        row = index[node]
+        nbr = nbr[row >= 0]
+        row = row[row >= 0]
+        col = index[nbr]
+        inside = col >= 0
+        a = -np.bincount(row[inside] * n + col[inside], minlength=n * n)
+        a = a.reshape(n, n).astype(float)
+        a[np.diag_indices(n)] = np.bincount(row, minlength=n)
+        rim = row[~inside]
+        rhs = np.stack([np.bincount(rim, weights=xy[nbr[~inside], c], minlength=n)
+                        for c in (0, 1)], axis=1)
         try:
             sol = np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError as exc:
             raise EmbeddingDegenerate(f"harmonic system singular: {exc}") from exc
-        for k in free:
-            pos[k] = sol[index[k]]
+        xy[free] = sol
+        for i in free.tolist():
+            pos[keys[i]] = xy[i]
 
-    vs = [k for k in nodes if k[0] in ("v", "m")]
-    pts = np.array([pos[k] for k in vs])
+    pts = xy[:nv + ne]
     if not np.all(np.isfinite(pts)):
         raise EmbeddingDegenerate("non-finite position")
-    i, j = np.triu_indices(len(vs), 1)  # pairs in itertools.combinations order
+    i, j = np.triu_indices(len(pts), 1)  # pairs in itertools.combinations order
     coincide = np.flatnonzero(np.linalg.norm(pts[i] - pts[j], axis=1) < 1e-9)
     if coincide.size:
         k = coincide[0]
-        raise EmbeddingDegenerate(f"nodes {vs[i[k]]} and {vs[j[k]]} coincide")
+        raise EmbeddingDegenerate(f"nodes {keys[i[k]]} and {keys[j[k]]} coincide")
     return pos
 
 
@@ -223,17 +257,37 @@ class GeomEmbedding:
         Minimum of the shortest boundary segment and the closest approach
         between non-adjacent boundary segments.
         """
-        pts = np.array(self.boundary_points(face))
-        k = len(pts)
-        ends = np.roll(pts, -1, axis=0)  # segment i runs pts[i] -> pts[i + 1]
-        i, j = nonadjacent_pairs(k, closed=True)
-        feat = float(min(
-            np.linalg.norm(ends - pts, axis=1).min(),
-            _seg_seg_distances(pts[i], ends[i], pts[j], ends[j]).min(initial=np.inf),
-        ))
-        if feat <= 0:
-            raise EmbeddingDegenerate(f"face {face} has zero clearance")
+        return float(self.feature_sizes([face])[0])
+
+    def feature_sizes(self, faces):
+        """``face_feature_size`` of each face, from one pass over the
+        boundary segments of all of them; raises for the first face, in the
+        order given, whose clearance is zero."""
+        polys = [np.array(self.boundary_points(f)) for f in faces]
+        if not polys:
+            return np.zeros(0)
+        sizes = np.array([len(q) for q in polys])
+        starts = np.cumsum(sizes) - sizes
+        pts = np.concatenate(polys)
+        # segment s of a face runs from its point s to its point s + 1
+        first = np.repeat(starts, sizes)
+        k = np.repeat(sizes, sizes)
+        ends = pts[first + (np.arange(len(pts)) - first + 1) % k]
+        feat = np.minimum.reduceat(np.linalg.norm(ends - pts, axis=1), starts)
+        pairs = [_face_segment_pairs(int(n)) for n in sizes]
+        i = np.concatenate([a + s for (a, _), s in zip(pairs, starts)])
+        j = np.concatenate([b + s for (_, b), s in zip(pairs, starts)])
+        owner = np.repeat(np.arange(len(polys)), [len(a) for a, _ in pairs])
+        np.minimum.at(feat, owner, _seg_seg_distances(pts[i], ends[i], pts[j], ends[j]))
+        flat = np.flatnonzero(feat <= 0)
+        if flat.size:
+            raise EmbeddingDegenerate(f"face {faces[flat[0]]} has zero clearance")
         return feat
+
+
+@functools.cache
+def _face_segment_pairs(k):
+    return nonadjacent_pairs(k, closed=True)
 
 
 def embed_template(t: Template) -> GeomEmbedding:
@@ -255,17 +309,26 @@ def embed_template(t: Template) -> GeomEmbedding:
     return GeomEmbedding(template=t, pos=_geometric_embed(t, pinned))
 
 
-def _polyline_interp(points, lens, frac):
-    """Point at arc-length fraction ``frac`` along a polyline whose segment
-    lengths are ``lens``."""
-    target = frac * sum(lens)
-    run = 0.0
-    for a, b, ln in zip(points[:-1], points[1:], lens):
-        if run + ln >= target:
-            u = 0.0 if ln == 0 else (target - run) / ln
-            return a + (b - a) * min(max(u, 0.0), 1.0)
-        run += ln
-    return points[-1]
+def _polyline_points(poly, lens, frac):
+    """Points at arc-length fractions ``frac`` along two-segment polylines,
+    row by row: ``poly[r]`` holds the three points of row r's polyline and
+    ``lens[r]`` its two segment lengths.  Each point is the one found by
+    walking its polyline segment by segment, float for float.
+    """
+    a, mid, b = poly[:, 0], poly[:, 1], poly[:, 2]
+    l0, l1 = lens[:, 0], lens[:, 1]
+    target = frac * (l0 + l1)
+
+    def along(start, stop, run, ln):
+        u = np.divide(target - run, ln, out=np.zeros_like(target), where=ln != 0)
+        u = np.where(0.0 > u, 0.0, u)
+        u = np.where(1.0 < u, 1.0, u)
+        return start + (stop - start) * u[:, None]
+
+    on_first = (l0 >= target)[:, None]
+    on_second = (l0 + l1 >= target)[:, None]
+    return np.where(on_first, along(a, mid, 0.0, l0),
+                    np.where(on_second, along(mid, b, l0, l1), b))
 
 
 # --- subtemplate geometry and filling labels --------------------------------------
@@ -276,9 +339,10 @@ class SubtemplateGeometry:
     """Frozen embedding of a marked subtemplate.
 
     Everything a filling comparison may share is precomputed here: the
-    face curves of the subtemplate's own faces (frozen point lists) and the
-    pinned junction directions at hole-boundary vertices.  Only curves
-    inside the holes are drawn per filling.
+    face curves of the subtemplate's own faces (frozen point lists), the
+    pinned junction directions at hole-boundary vertices, each dart's
+    frozen polyline and the curve graph.  Only curves inside the holes are
+    drawn per filling.
     """
 
     tsub: MarkedSubtemplate
@@ -287,6 +351,9 @@ class SubtemplateGeometry:
     arrive_dir: dict    # tsub face -> unit arrival direction at its terminal
     hole_entry_dir: dict  # tsub vertex on a hole ring -> direction into the hole
     frozen_curves: dict   # tsub face -> frozen polyline points
+    dart_polylines: np.ndarray  # tsub dart -> (tail, edge midpoint, head)
+    dart_lengths: np.ndarray    # tsub dart -> lengths of its two segments
+    curve_graph: CurveGraph
 
 
 def embed_subtemplate(tsub: MarkedSubtemplate) -> SubtemplateGeometry:
@@ -316,9 +383,18 @@ def embed_subtemplate(tsub: MarkedSubtemplate) -> SubtemplateGeometry:
             arrive[f] = depart[roots[term]]
     frozen = {
         f: _face_curve_points(emb, f, depart[f], arrive[f],
-                              t.root_vertex(f), t.terminal_vertex(f))
-        for f in faces
+                              t.root_vertex(f), t.terminal_vertex(f), clearance)
+        for f, clearance in zip(faces, emb.feature_sizes(faces).tolist())
     }
+    polylines = np.array([
+        [emb.vertex(t.map.vertex_of[d]), emb.midpoint(d >> 1),
+         emb.vertex(t.map.vertex_of[d ^ 1])]
+        for d in range(t.map.n_darts)
+    ])
+    lengths = np.array([
+        [np.linalg.norm(mid - tail), np.linalg.norm(head - mid)]
+        for tail, mid, head in polylines
+    ])
     return SubtemplateGeometry(
         tsub=tsub,
         emb=emb,
@@ -326,6 +402,9 @@ def embed_subtemplate(tsub: MarkedSubtemplate) -> SubtemplateGeometry:
         arrive_dir=arrive,
         hole_entry_dir=hole_entry_dir,
         frozen_curves=frozen,
+        dart_polylines=polylines,
+        dart_lengths=lengths,
+        curve_graph=subtemplate_curve_graph(tsub),
     )
 
 
@@ -335,23 +414,22 @@ def _filling_embedding(geom: SubtemplateGeometry, filling):
     Subtemplate vertices keep their positions; each subtemplate dart's
     expansion is spread by arc length along the frozen edge polyline
     (vertices at fractions i/k, piece midpoints at (i+1/2)/k); hole
-    interiors are then placed harmonically.
+    interiors are then placed harmonically.  A node that two darts place
+    keeps the position of the first.
     """
-    t = geom.tsub.template
-    fmap = filling.template.map
-    pinned = {}
+    vertex_of = filling.template.map.vertex_of
+    keys, darts, fracs = [], [], []
     for d, path in enumerate(filling.dart_paths):
-        v_tail = t.map.vertex_of[d]
-        v_head = t.map.vertex_of[d ^ 1]
-        poly = [geom.emb.vertex(v_tail), geom.emb.midpoint(d >> 1),
-                geom.emb.vertex(v_head)]
-        lens = [np.linalg.norm(b - a) for a, b in zip(poly[:-1], poly[1:])]
         k = len(path)
         for i, x in enumerate(path):
-            for key, frac in ((("v", fmap.vertex_of[x]), i / k),
-                              (("m", x >> 1), (i + 0.5) / k)):
-                if key not in pinned:
-                    pinned[key] = _polyline_interp(poly, lens, frac)
+            keys += [("v", vertex_of[x]), ("m", x >> 1)]
+            fracs += [i / k, (i + 0.5) / k]
+        darts += [d] * (2 * k)
+    points = _polyline_points(geom.dart_polylines[darts], geom.dart_lengths[darts],
+                              np.array(fracs))
+    pinned = {}
+    for key, point in zip(keys, points):
+        pinned.setdefault(key, point)
     return GeomEmbedding(
         template=filling.template,
         pos=_geometric_embed(filling.template, pinned),
@@ -383,11 +461,13 @@ def _boundary_nodes_cw(t: Template, face, root, term):
     return nodes
 
 
-def _face_curve_points(emb: GeomEmbedding, face, depart_dir, arrive_dir, root, term):
+def _face_curve_points(emb: GeomEmbedding, face, depart_dir, arrive_dir, root, term,
+                       clearance):
     """Root-to-terminal curve hugging the clockwise ("left") boundary of the
-    face at a small inward offset; pinned end directions."""
+    face at a small inward offset; pinned end directions.  ``clearance`` is
+    the face's ``face_feature_size``."""
     t = emb.template
-    delta = OFFSET * emb.face_feature_size(face)
+    delta = OFFSET * clearance
     pts = [emb.vertex(root), emb.vertex(root) + PIN * delta * depart_dir]
     for key in _boundary_nodes_cw(t, face, root, term):
         if key[0] == "m":
@@ -402,33 +482,36 @@ def _face_curve_points(emb: GeomEmbedding, face, depart_dir, arrive_dir, root, t
     return pts
 
 
-def filling_curve(geom: SubtemplateGeometry, filling):
+def filling_curve(geom: SubtemplateGeometry, filling, to_tsub):
     """The concatenated root-to-terminal curve of a filling: points plus the
-    polyline index of every root/terminal visit.
+    polyline index of every root/terminal visit.  ``to_tsub`` is the
+    filling's ``vertex_to_tsub`` map.
 
     Curves of subtemplate faces are the frozen point lists from the
     geometry; only cluster faces are drawn in the filling's embedding, with
     their end directions pinned to the frozen junction data, so per-hole
-    passes have filling-independent end angles exactly.
+    passes have filling-independent end angles exactly.  The clearances of
+    all cluster faces are measured in one batch.
     """
     t = filling.template
     tsub = geom.tsub
     emb = _filling_embedding(geom, filling)
     seq = t.face_order[1:]  # F_0 .. F_{n+1}
 
-    # face and vertex correspondence with the subtemplate
-    to_tsub_v = filling.vertex_to_tsub(tsub)
+    # face correspondence with the subtemplate
     filling_to_tsub_face = {}
     for d, path in enumerate(filling.dart_paths):
         tf = tsub.template.map.face_of[d]
         if tf not in tsub.template.holes:
             filling_to_tsub_face[t.map.face_of[path[0]]] = tf
+    drawn = [f for f in seq if f not in filling_to_tsub_face]
+    clearance = dict(zip(drawn, emb.feature_sizes(drawn).tolist()))
 
     def depart_of(f):
         tf = filling_to_tsub_face.get(f)
         if tf is not None:
             return geom.depart_dir[tf]
-        rv = to_tsub_v.get(t.root_vertex(f))
+        rv = to_tsub.get(t.root_vertex(f))
         if rv in geom.hole_entry_dir:
             return geom.hole_entry_dir[rv]
         return emb.corner_direction(f, t.root_vertex(f))
@@ -453,7 +536,7 @@ def filling_curve(geom: SubtemplateGeometry, filling):
             pts = geom.frozen_curves[tf]
         else:
             pts = _face_curve_points(
-                emb, f, depart_of(f), arrive_of(f, nxt), root, term
+                emb, f, depart_of(f), arrive_of(f, nxt), root, term, clearance[f]
             )
         if points:
             pts = pts[1:]  # junction point shared with the previous face
@@ -467,7 +550,8 @@ def filling_curve(geom: SubtemplateGeometry, filling):
 def winding_label_values(geom: SubtemplateGeometry, filling):
     """theta at the subtemplate's hole-boundary root/terminal vertices:
     cumulative total curvature at each visit, 0 at the start."""
-    points, visits = filling_curve(geom, filling)
+    to_tsub = filling.vertex_to_tsub(geom.tsub)
+    points, visits = filling_curve(geom, filling, to_tsub)
     curve = PolygonalCurve(vertices=tuple(map(tuple, points)))
     angles = turning_angles(curve)
     prefix = [0.0]
@@ -478,8 +562,7 @@ def winding_label_values(geom: SubtemplateGeometry, filling):
     # arriving at point p accumulates the turns at points 1..p-1
     theta_at = lambda p: prefix[max(p - 1, 0)] if p >= 1 else 0.0
 
-    to_tsub = filling.vertex_to_tsub(geom.tsub)
-    nodes = subtemplate_curve_graph(geom.tsub).boundary_vertices
+    nodes = geom.curve_graph.boundary_vertices
     labels = {}
     for fv, idx in visits:
         v = to_tsub.get(fv)
@@ -496,7 +579,7 @@ class WindingAgreementReport:
 
     @property
     def agree(self):
-        return self.max_difference <= LABEL_TOL
+        return labels_agree(self.max_difference)
 
 
 def winding_labels(tsub: MarkedSubtemplate, filling_a, filling_b,
@@ -655,7 +738,8 @@ def canonical_arc_curvature(geom: SubtemplateGeometry, hole_pos, src, dst,
     pins the value, so any simple representative yields the canonical one;
     the representative hugs the hole boundary walked clockwise."""
     hole_face = geom.tsub.hole_labels[hole_pos]
-    pts = _face_curve_points(geom.emb, hole_face, depart, arrive, src, dst)
+    pts = _face_curve_points(geom.emb, hole_face, depart, arrive, src, dst,
+                             geom.emb.face_feature_size(hole_face))
     curve = PolygonalCurve(vertices=tuple(map(tuple, pts)))
     if not is_simple(curve):
         raise EmbeddingDegenerate(f"representative arc {src}->{dst} self-crosses")
@@ -672,7 +756,7 @@ def admissible_arc_sets(tsub: MarkedSubtemplate, geom: SubtemplateGeometry,
     theta(dst) - theta(src) (incompatible arcs are off by multiples of
     2*pi).  Noncrossing is the chord condition in the hole's ring order.
     """
-    g = subtemplate_curve_graph(tsub)
+    g = geom.curve_graph
     ring = g.vertices_by_hole[hole_pos]
     indeg = {v: 0 for v in g.nodes}
     outdeg = {v: 0 for v in g.nodes}

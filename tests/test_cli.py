@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from quiltlab import _verify
 from quiltlab import fields as fl
 from quiltlab import planar_map as pm
 from quiltlab import quilt as qt
+from quiltlab import quilt_enum as qe
+from quiltlab import quilt_winding as qw
 from quiltlab.cli import _polyline_from_text, main
 from quiltlab.errors import ParseError
 
@@ -181,6 +184,50 @@ def test_env_seed_override(capsys, monkeypatch):
     code, out, _ = run(["meander", "count", "--size", "2"], capsys)
     assert code == 0
     assert json.loads(out)["provenance"]["seed"] == 123
+
+
+def test_env_seed_not_an_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("QUILTLAB_SEED", "abc")
+    code, out, err = run(["meander", "count", "--size", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "QUILTLAB_SEED" in err and "Traceback" not in err
+
+
+N21 = Path(__file__).parent / "data" / "template_n21.map"
+
+
+@pytest.mark.parametrize("command", ["winding-labels", "verify-bijection"])
+@pytest.mark.parametrize("holes", ["a,b", "3,", "999", "3,-1"])
+def test_bad_hole_ids_are_usage_errors_before_any_search(capsys, monkeypatch,
+                                                         command, holes):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    for name in ("mark_subtemplate", "enumerate_fillings", "verify_product_bijection"):
+        for module in (qt, qe):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    code, out, err = run(["quilt", command, "--in", str(N21), f"--holes={holes}"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --holes") and "Traceback" not in err
+
+
+def test_one_winding_rule_at_the_tolerance(tmp_path, capsys, monkeypatch):
+    # a planted difference of exactly LABEL_TOL, then the next float up:
+    # the report, the criterion-6 check and the CLI give the same verdicts
+    t = build_template([(1, 2), (1, 2), (1, 2)])
+    path = tmp_path / "t.map"
+    path.write_text(qt.template_to_text(t))
+    holes = f"{t.face_order[2]},{t.face_order[4]}"
+    for diff, agree in ((qw.LABEL_TOL, True), (math.nextafter(qw.LABEL_TOL, 1.0), False)):
+        report = qw.WindingAgreementReport(labels_a={0: 0.0}, labels_b={0: diff},
+                                           max_difference=diff)
+        monkeypatch.setattr(qw, "winding_labels", lambda *args, **kwargs: report)
+        assert report.agree is agree
+        assert _verify.check_winding_labels(0)[0] is agree
+        code, _, _ = run(["quilt", "winding-labels", "--in", str(path),
+                          "--holes", holes], capsys)
+        assert code == (0 if agree else 1)
 
 
 def test_verify_all_budget_zero(tmp_path, capsys):

@@ -655,6 +655,28 @@ def test_deep_fixture_labels_agree_or_degenerate(chain3_sub):
     assert degenerate < 30
 
 
+# sha256 of repr((labels, frozen)): the sorted winding_label_values of every
+# budget-2 filling, then each face's frozen curve, all as Python floats;
+# measured on the embedding that built every face clearance and harmonic
+# system one face, dart and node at a time
+WINDING_DIGESTS = {
+    "wide": "74e93e4d05c472b5f84f0ecaa498672d244d907631d9df21f38da10eb7e05975",
+    "two-pass": "c9a64420f9c37e4224fc38b7ee242d70bc6e10e1d45e998008a567cb0ef97b04",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDING_DIGESTS))
+def test_winding_labels_byte_identical(name):
+    tsub = build_subtemplate(*FIXTURES[name])
+    geom = qw.embed_subtemplate(tsub)
+    labels = [sorted(qw.winding_label_values(geom, f).items())
+              for f in qe.enumerate_fillings(tsub, 2)]
+    frozen = sorted((face, [tuple(float(x) for x in p) for p in pts])
+                    for face, pts in geom.frozen_curves.items())
+    text = repr((labels, frozen))
+    assert hashlib.sha256(text.encode()).hexdigest() == WINDING_DIGESTS[name]
+
+
 def _seg_seg_distance(p1, p2, q1, q2):
     """Scalar oracle: Euclidean distance between two closed segments."""
 
@@ -731,6 +753,95 @@ def test_face_feature_size_matches_scalar_oracle(wide_sub, two_pass_sub):
             _feature_size_oracle(pts), rel=1e-12, abs=0.0)
         checked += 1
     assert checked > 200
+
+
+def _fixture_embeddings():
+    """The subtemplate embedding of the wide and two-pass fixtures, then the
+    embedding of each of their budget-2 fillings."""
+    for name in ("wide", "two-pass"):
+        tsub = build_subtemplate(*FIXTURES[name])
+        geom = qw.embed_subtemplate(tsub)
+        yield geom.emb
+        for f in qe.enumerate_fillings(tsub, 2):
+            yield qw._filling_embedding(geom, f)
+
+
+def test_feature_sizes_batch_equals_per_face():
+    rnd = random.Random(3)
+    sizes = set()
+    for emb in _fixture_embeddings():
+        faces = list(range(emb.template.map.n_faces))
+        rnd.shuffle(faces)
+        want = [emb.face_feature_size(f) for f in faces]
+        assert emb.feature_sizes(faces).tolist() == want
+        sizes.update(len(emb.boundary_points(f)) for f in faces)
+    assert len(sizes) >= 3  # the batches mix boundaries of several sizes
+
+
+def _geometric_embed_oracle(t, pinned):
+    """The harmonic solve assembled densely, node key by node key."""
+    m = t.map
+    outer = qw._outer_face(t)
+    nodes = []
+    nodes += [("v", v) for v in range(m.n_vertices)]
+    nodes += [("m", e) for e in range(m.n_edges)]
+    nodes += [("f", f) for f in range(m.n_faces) if f != outer]
+
+    adj = {key: [] for key in nodes}
+    for e in range(m.n_edges):
+        u, w = m.edge_vertices(e)
+        adj[("m", e)] += [("v", u), ("v", w)]
+        adj[("v", u)].append(("m", e))
+        adj[("v", w)].append(("m", e))
+        for f in m.edge_faces(e):
+            if f != outer:
+                adj[("m", e)].append(("f", f))
+                adj[("f", f)].append(("m", e))
+    for f in range(m.n_faces):
+        if f == outer:
+            continue
+        for d in m.face_cycles[f]:
+            v = m.vertex_of[d]
+            adj[("f", f)].append(("v", v))
+            adj[("v", v)].append(("f", f))
+
+    free = [key for key in nodes if key not in pinned]
+    pos = {k: np.asarray(p, dtype=float) for k, p in pinned.items()}
+    index = {k: i for i, k in enumerate(free)}
+    a = np.zeros((len(free), len(free)))
+    rhs = np.zeros((len(free), 2))
+    for k in free:
+        i = index[k]
+        for nb in adj[k]:
+            a[i, i] += 1.0
+            if nb in index:
+                a[i, index[nb]] -= 1.0
+            else:
+                rhs[i] += pos[nb]
+    sol = np.linalg.solve(a, rhs)
+    for k in free:
+        pos[k] = sol[index[k]]
+    return pos
+
+
+def test_geometric_embed_matches_dense_assembly(monkeypatch):
+    calls = []
+    solve = qw._geometric_embed
+
+    def recording(t, pinned):
+        calls.append((t, dict(pinned)))
+        return solve(t, pinned)
+
+    monkeypatch.setattr(qw, "_geometric_embed", recording)
+    for _ in _fixture_embeddings():
+        pass
+    assert len(calls) == 2 + 70 + 14
+    for t, pinned in calls:
+        got = solve(t, pinned)
+        want = _geometric_embed_oracle(t, pinned)
+        assert list(got) == list(want)
+        for key, p in want.items():
+            assert got[key].tobytes() == p.tobytes(), key
 
 
 def test_coincident_pinned_nodes_raise(chain3):
