@@ -283,10 +283,14 @@ def cmd_mating_calibrate(args):
 
 
 def cmd_fields_rotate(args):
-    charges = [float(x) for x in args.charges.split(",")]
     n = args.n
+    try:
+        charges = [float(x) for x in args.charges.split(",")]
+    except ValueError:
+        raise UsageError(
+            f"--charges takes comma-separated numbers, got {args.charges!r}") from None
     if len(charges) != n:
-        raise QuiltLabError(f"expected {n} charges")
+        raise UsageError(f"--charges needs {n} values for --n {n}, got {len(charges)}")
     if n == 2:
         c, s = math.cos(args.angle), math.sin(args.angle)
         a = np.array([[c, -s], [s, c]])
@@ -469,6 +473,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "size", None) is not None and args.size < 1:
             parser.error("--size must be >= 1")
+        if getattr(args, "samples", None) is not None and args.samples < 1:
+            parser.error("--samples must be >= 1")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else EXIT_OK

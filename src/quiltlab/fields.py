@@ -265,6 +265,8 @@ def rotation_independence_test(L: int, A, samples: int, seed, charges=None) -> R
     2 (1 - Phi(x)) at any grid, field count, sample count and seed: 6.3e-5 at
     4 and 5.7e-7 at 5.
     """
+    if samples < 1:
+        raise FieldsError(f"need at least one sample, got {samples}")
     A = check_orthogonal(np.asarray(A, dtype=float))
     n = A.shape[0]
     rng = np.random.default_rng(seed)

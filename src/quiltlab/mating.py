@@ -523,6 +523,8 @@ def calibrate_covariance(p: MotParams, n_steps=10_000, rng=None) -> CovarianceRe
     so the generator, not the accepted ensemble, is what the covariance
     target specifies.
     """
+    if n_steps < 1:
+        raise MatingError(f"need at least one increment, got {n_steps}")
     if rng is None:
         rng = np.random.default_rng(p.seed)
     dt = p.duration / p.steps

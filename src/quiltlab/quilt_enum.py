@@ -10,28 +10,41 @@ compare is exhaustive.  Budgets are per hole.
 
 Pruning keeps the search at desk scale: tag counts, per-step side-profile
 matching (the near sides of a marked 4-gon must collapse to the side
-profile of an unused subtemplate 4-gon), a closing profile check for the
-2-gon, and a cluster-size check.  The search keeps the edge-connected
-clusters of unmarked faces exactly: an unmarked 4-gon placed at split
-(t, s) shares edges with just the faces behind the frontier edges it
-covers, so it joins their clusters, and clusters only grow or merge.  A
-cluster larger than every budget cuts its branch, and at a close, where
-the clusters are final, there must be one per hole, the k-th largest
-within the k-th largest budget.  Which hole a cluster fills is fixed only
-by the rooted isomorphism of the closed leaf, so the exact per-hole test
-stays there.  All prunes are sound: they never reject a sequence that
-could reduce to the target subtemplate within the budgets.
+profile of an unused subtemplate 4-gon), a closing look-ahead, a
+cluster-size check and hole labels at the close.  Once every marked 4-gon
+is placed, every further face is unmarked, and placing one at (t, s) maps a
+frontier arc's tags X to ["H"] + X[t-1:]; so a child is kept only if its
+arcs collapse to the 2-gon's sides now, or can as ["H"] + X[m:] while
+unmarked budget is left.  The search keeps the edge-connected clusters of
+unmarked faces exactly: an unmarked 4-gon placed at split (t, s) shares
+edges with just the faces behind the frontier edges it covers, so it joins
+their clusters, and clusters only grow or merge.  A cluster larger than
+every budget cuts its branch, and at a close, where the clusters are final,
+there must be one per hole, the k-th largest within the k-th largest
+budget.  At a close the frontier's collapsed runs also line up one-to-one
+with the runs of the 2-gon's sides, and the rooted isomorphism of the leaf
+maps the 2-gon to the 2-gon, side j to side j and marked tags to
+themselves; so where a run of a 2-gon side borders a single hole, that
+hole is the one every cluster behind the matching frontier run fills.  A
+close is cut when a cluster is named by two holes, a hole by two clusters,
+or a named cluster exceeds its own hole's budget.  Runs that border
+several holes, and the near sides of marked 4-gons, name no hole, so the
+exact per-hole test stays at the leaf.  All prunes are sound: they never
+reject a sequence that could reduce to the target subtemplate within the
+budgets.
 
 Each search node reads the tags behind its two frontier arcs once and
 builds their collapsed prefix profiles in one pass per arc (a left profile
 is a reversed prefix, and collapsing commutes with reversal); a left
 prefix is tested against the unused 4-gon profiles before it is paired
-with any right prefix, and no profile is built once every marked 4-gon is
-placed.  A child that can place no further face is only ever closed, so its
-2-gon check runs on the parent's tags, before any clone or ``add_face``.
-The search counts its nodes, the children that the closing check cuts, the
-branches and closes that the cluster check cuts, its leaves and the reject
-reason of every leaf that is not a filling (``counters``).
+with any right prefix, and no prefix profile is built once every marked
+4-gon is placed.  The look-ahead reads each arc's collapsed suffixes in one pass on
+the parent's tags, and a child that can place no further face is only ever
+closed, so its clusters and hole labels are checked on the parent's arcs,
+before any clone or ``add_face``.  The search counts its nodes, the
+children that the look-ahead cuts, the branches and closes that the
+cluster check cuts, the closes that the hole labels cut, its leaves and the
+reject reason of every leaf that is not a filling (``counters``).
 
 A closed leaf is reduced onto the subtemplate once, by ``_filling``, the
 one constructor of a ``Filling``: the filling keeps the dart paths of the
@@ -141,17 +154,37 @@ def _collapse(tags):
     return tuple(out)
 
 
-def _tsub_side_profile(tsub: MarkedSubtemplate, face, side_idx):
+def _lead(tag, profile):
+    """``_collapse((tag,) + profile)`` for a collapsed ``profile``."""
+    if tag == "H" and profile and profile[0] == "H":
+        return profile
+    return (tag,) + profile
+
+
+def _tsub_side(tsub: MarkedSubtemplate, face, side_idx):
+    """Collapsed profile of one side of a subtemplate face, and the hole of
+    each of its runs: its position in ``hole_labels`` when the run borders a
+    single hole, else None."""
     t = tsub.template
+    hole_pos = {h: i for i, h in enumerate(tsub.hole_labels)}
     tags = []
+    holes = []
     for d in t.side_dart_paths(face)[side_idx]:
         g = t.map.face_of[d ^ 1]
-        tags.append("H" if g in t.holes else f"M{t.k_gon(g)}")
-    return _collapse(tags)
+        if g not in hole_pos:
+            tags.append(f"M{t.k_gon(g)}")
+            holes.append(set())
+        elif tags and tags[-1] == "H":
+            holes[-1].add(hole_pos[g])
+        else:
+            tags.append("H")
+            holes.append({hole_pos[g]})
+    return tuple(tags), tuple(min(hs) if len(hs) == 1 else None for hs in holes)
 
 
 def _tsub_profiles(tsub: MarkedSubtemplate):
-    """Near-side profiles of the subtemplate's 4-gons, and the 2-gon's."""
+    """Near-side profiles of the subtemplate's 4-gons, and the 2-gon's sides
+    as (profile, run holes) pairs."""
     t = tsub.template
     four = []
     two = None
@@ -159,10 +192,13 @@ def _tsub_profiles(tsub: MarkedSubtemplate):
         k = t.k_gon(f)
         if k == 4:
             # sides 3 (L-, from b to a) and 0 (R-, from a to c)
-            four.append((_tsub_side_profile(tsub, f, 3), _tsub_side_profile(tsub, f, 0)))
+            four.append((_tsub_side(tsub, f, 3)[0], _tsub_side(tsub, f, 0)[0]))
         elif k == 2:
-            two = (_tsub_side_profile(tsub, f, 1), _tsub_side_profile(tsub, f, 0))
+            two = (_tsub_side(tsub, f, 1), _tsub_side(tsub, f, 0))
     return four, two
+
+
+_RAW_TAG = {"M": "M4", "U": "H"}  # frontier tag of an added 4-gon, by its search tag
 
 
 def _frontier_tags(faces, tags):
@@ -173,10 +209,8 @@ def _frontier_tags(faces, tags):
             out.append("M1")
         elif f == 0:
             out.append("M3")
-        elif tags[f - 1] == "M":
-            out.append("M4")
         else:
-            out.append("H")
+            out.append(_RAW_TAG[tags[f - 1]])
     return out
 
 
@@ -206,9 +240,14 @@ class _Search:
         self.b = tsub.n_holes
         self.n4 = tsub.template.n_added_gons
         self.four_profiles, two = _tsub_profiles(tsub)
-        # the 2-gon's near sides as frontier tags read from the terminal
-        # (None: no remainder can close)
-        self.close_left, self.close_right = (two[0][::-1], two[1]) if two else (None, None)
+        # the 2-gon's sides as frontier tags read from the terminal, and the
+        # hole of each run (None: no remainder can close)
+        if two:
+            (left, left_holes), (right, right_holes) = two
+            self.close_left, self.close_right = left[::-1], right
+            self.close_holes = (left_holes[::-1], right_holes)
+        else:
+            self.close_left = self.close_right = self.close_holes = None
         self.total_budget = sum(budgets)
         self.caps = sorted(budgets, reverse=True)
         self.cap = max(budgets, default=0)
@@ -219,6 +258,7 @@ class _Search:
             "nodes": 0,
             "closing_cuts": 0,
             "budget_cuts": 0,
+            "hole_cuts": 0,
             "leaves": 0,
             "rejects": dict.fromkeys(REJECT_REASONS, 0),
         }
@@ -230,6 +270,17 @@ class _Search:
         """Whether final clusters can fill the holes one each within budget."""
         return len(clusters) == self.b and all(
             n <= cap for n, cap in zip(sorted(map(len, clusters), reverse=True), self.caps))
+
+    def closes(self, left, right, clusters):
+        """Whether a close with final ``clusters`` passes the cluster check
+        and the hole labels; counts the close that is cut."""
+        if not self.fits(clusters):
+            self.counters["budget_cuts"] += 1
+            return False
+        if not _hole_labels_fit(self, left, right, clusters):
+            self.counters["hole_cuts"] += 1
+            return False
+        return True
 
 
 def _finish(search: _Search, builder: Builder):
@@ -271,25 +322,23 @@ def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, avail
     search.counters["nodes"] += 1
     left_faces = builder.frontier_faces(builder.left)
     right_faces = builder.frontier_faces(builder.right)
-    left_raw = _frontier_tags(left_faces, search.tags)
-    right_raw = _frontier_tags(right_faces, search.tags)
+    left = (_frontier_tags(left_faces, search.tags), left_faces)
+    right = (_frontier_tags(right_faces, search.tags), right_faces)
     if (marked_used == search.n4
-            and _collapse(left_raw) == search.close_left
-            and _collapse(right_raw) == search.close_right):
-        if search.fits(clusters):
-            _finish(search, builder.clone())
-        else:
-            search.counters["budget_cuts"] += 1
+            and _collapse(left[0]) == search.close_left
+            and _collapse(right[0]) == search.close_right
+            and search.closes(left, right, clusters)):
+        _finish(search, builder.clone())
     if unmarked_used < search.total_budget:
         children = _grow_clusters(search, builder, left_faces, right_faces, clusters)
-        _branch(search, builder, "U", children, left_raw, right_raw,
+        _branch(search, builder, "U", children, left, right,
                 marked_used, unmarked_used + 1, available)
     if marked_used < search.n4:
         # a marked 4-gon's near sides must match an unused subtemplate
         # 4-gon: each left prefix is tested before any right one
         left_wanted = {lp for lp, _ in available}
-        right_profiles = _prefix_profiles(right_raw)
-        for t_i, lp in enumerate(_prefix_profiles(left_raw), 1):
+        right_profiles = _prefix_profiles(right[0])
+        for t_i, lp in enumerate(_prefix_profiles(left[0]), 1):
             lp = lp[::-1]
             if lp not in left_wanted:
                 continue
@@ -300,8 +349,8 @@ def _expand(search: _Search, builder: Builder, marked_used, unmarked_used, avail
                     next_av[prof] -= 1
                     if not next_av[prof]:
                         del next_av[prof]
-                    _branch(search, builder, "M", [((t_i, s_i), clusters)], left_raw,
-                            right_raw, marked_used + 1, unmarked_used, next_av)
+                    _branch(search, builder, "M", [((t_i, s_i), clusters)], left, right,
+                            marked_used + 1, unmarked_used, next_av)
 
 
 def _grow_clusters(search: _Search, builder: Builder, left_faces, right_faces, clusters):
@@ -328,29 +377,105 @@ def _grow_clusters(search: _Search, builder: Builder, left_faces, right_faces, c
     return kept
 
 
-def _branch(search: _Search, builder: Builder, tag, children, left_raw, right_raw,
+def _closable(new, raw, target, budget_left):
+    """The splits t after which an arc with tags ``raw``, led by a ``new``
+    face, collapses to ``target`` (``now``), and those after which further
+    unmarked faces can make it collapse to ``target`` (``later``).
+
+    Placing an unmarked face at split m + 1 maps tags X to ["H"] + X[m:], and
+    two such steps compose to one, so ``later`` asks for some m with
+    ``_collapse(["H"] + X[m:]) == target``, X the child's tags.  Those are
+    ["H", new] + raw[t-1:] and ["H"] + raw[k:] for k >= t - 1, read here
+    from the collapsed suffixes of ``raw``.
+    """
+    now, later = set(), set()
+    suffix = ()  # _collapse(raw[t-1:])
+    reach = False  # _collapse(["H"] + raw[k:]) == target for some k >= t - 1
+    for t_i in range(len(raw), 0, -1):
+        suffix = _lead(raw[t_i - 1], suffix)
+        child = _lead(new, suffix)
+        if child == target:
+            now.add(t_i)
+        if budget_left:
+            reach = reach or _lead("H", suffix) == target
+            if reach or _lead("H", child) == target:
+                later.add(t_i)
+    return now, later
+
+
+def _closing_lookahead(search: _Search, tag, children, left_raw, right_raw, budget_left):
+    """The children of a ``tag`` 4-gon, placed once every marked 4-gon is,
+    that can still close: both arcs collapse to the 2-gon's sides now, or
+    can with further unmarked faces while ``budget_left``.
+
+    A child's arc is the new face's tag followed by the parent's tags from
+    the split edge on, so this is judged on the parent's tags, before any
+    clone.  A child that can place no further face must close now.
+    """
+    new = _RAW_TAG[tag]
+    now_l, later_l = _closable(new, left_raw, search.close_left, budget_left)
+    now_r, later_r = _closable(new, right_raw, search.close_right, budget_left)
+    kept = [(split, c) for split, c in children
+            if split[0] in now_l and split[1] in now_r
+            or split[0] in later_l and split[1] in later_r]
+    search.counters["closing_cuts"] += len(children) - len(kept)
+    return kept
+
+
+def _hole_labels_fit(search: _Search, left, right, clusters):
+    """Whether the final ``clusters`` can fill the holes that the 2-gon's
+    runs name; ``left`` and ``right`` are the (tags, faces) of the closing
+    frontier arcs.
+
+    At a close, an arc's collapsed runs line up one-to-one with the runs of
+    its 2-gon side.  The rooted isomorphism of the leaf maps the 2-gon to
+    the 2-gon, side j to side j and marked tags to themselves, so every
+    cluster behind a run whose 2-gon side run borders the single hole h
+    fills h.  The close is cut if a cluster gets two holes, a hole two
+    clusters, or a cluster more faces than its hole's budget.
+    """
+    hole_of = {}  # cluster -> hole position
+    for (raw, faces), holes in zip((left, right), search.close_holes):
+        run = -1
+        for i, tag in enumerate(raw):
+            if tag != "H" or i == 0 or raw[i - 1] != "H":
+                run += 1
+            h = holes[run]
+            if tag == "H" and h is not None:
+                c = next(c for c in clusters if faces[i] in c)
+                if hole_of.setdefault(c, h) != h:
+                    return False
+    filler = {}  # hole position -> cluster
+    for c, h in hole_of.items():
+        if filler.setdefault(h, c) is not c or len(c) > search.budgets[h]:
+            return False
+    return True
+
+
+def _branch(search: _Search, builder: Builder, tag, children, left, right,
             marked_used, unmarked_used, available):
     """Add a ``tag`` 4-gon at each ((t, s), clusters) of ``children`` and
-    search below it.
+    search below it; ``left`` and ``right`` are the parent's (tags, faces).
 
-    A child that can place no further face is only ever closed.  Its
-    frontier tags are the new face's tag followed by the parent's from the
-    split edge on, so its closing check runs on the parent's tags, one side
-    at a time, and its clusters, which are final, must fit the holes; only
-    children that pass are cloned and built.
+    Once every marked 4-gon is placed, only the children that can still
+    close are kept (``_closing_lookahead``).  A child that can place no
+    further face is only ever closed: its arcs are the new face followed by
+    the parent's from the split edge on, so its clusters, which are final,
+    and its hole labels are checked on the parent's arcs, and only children
+    that pass are cloned and built.
     """
-    terminal = marked_used == search.n4 and unmarked_used == search.total_budget
+    budget_left = unmarked_used < search.total_budget
+    if marked_used == search.n4:
+        children = _closing_lookahead(search, tag, children, left[0], right[0], budget_left)
+    terminal = marked_used == search.n4 and not budget_left
     if terminal:
-        new = ["M4" if tag == "M" else "H"]
-        left_ok = {t_i for t_i in range(1, len(left_raw) + 1)
-                   if _collapse(new + left_raw[t_i - 1:]) == search.close_left}
-        right_ok = {s_i for s_i in range(1, len(right_raw) + 1)
-                    if _collapse(new + right_raw[s_i - 1:]) == search.close_right}
-        kept = [(split, c) for split, c in children
-                if split[0] in left_ok and split[1] in right_ok]
-        search.counters["closing_cuts"] += len(children) - len(kept)
-        children = [(split, c) for split, c in kept if search.fits(c)]
-        search.counters["budget_cuts"] += len(kept) - len(children)
+        head = ([_RAW_TAG[tag]], [len(builder.cycles)])  # the new face's tag and index
+
+        def arc(parent, split):
+            return head[0] + parent[0][split - 1:], head[1] + parent[1][split - 1:]
+
+        children = [((t_i, s_i), c) for (t_i, s_i), c in children
+                    if search.closes(arc(left, t_i), arc(right, s_i), c)]
     for (t_i, s_i), clusters in children:
         child = builder.clone()
         child.add_face(t=t_i, s=s_i)
@@ -369,10 +494,11 @@ def enumerate_fillings(tsub: MarkedSubtemplate, n_max, counters=None):
     templates) and sorted by canonical key; every result passes
     validate_template and reduces back to the subtemplate.  A dict passed
     as ``counters`` receives the search counters: ``nodes`` expanded,
-    terminal children cut by the ``closing_cuts`` check, children and closes
-    cut by the cluster check (``budget_cuts``), ``leaves`` closed and
-    reduced, and ``rejects`` per reason (REJECT_REASONS); every leaf is a
-    filling or one reject.
+    children cut by the closing look-ahead (``closing_cuts``), children and
+    closes cut by the cluster check (``budget_cuts``), closes cut by the
+    2-gon's hole labels (``hole_cuts``), ``leaves`` closed and reduced, and
+    ``rejects`` per reason (REJECT_REASONS); every leaf is a filling or one
+    reject.
     """
     search = _Search(tsub, _normalize_budgets(tsub, n_max))
     available = {}

@@ -107,7 +107,8 @@ def test_quilt_verify_bijection(tmp_path, capsys):
     assert payload["fillings"] == 50
     assert payload["factor_sizes"] == [10, 5]
     search = payload["search"]
-    assert set(search) == {"nodes", "closing_cuts", "budget_cuts", "leaves", "rejects"}
+    assert set(search) == {"nodes", "closing_cuts", "budget_cuts", "hole_cuts", "leaves",
+                           "rejects"}
     assert search["leaves"] == 50 + sum(search["rejects"].values())
     assert search["budget_cuts"] > 0 and search["rejects"]["over_budget"] == 0
 
@@ -191,6 +192,20 @@ def test_env_seed_not_an_integer_is_a_usage_error(capsys, monkeypatch):
     code, out, err = run(["meander", "count", "--size", "2"], capsys)
     assert code == 2 and out == ""
     assert "QUILTLAB_SEED" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fields", "rotate", "--charges", "a,b"], "error: --charges"),
+    (["fields", "rotate", "--n", "3", "--charges", "1,2"], "error: --charges"),
+    (["fields", "rotate", "--samples", "0"], "--samples must be >= 1"),
+    (["fields", "rotate", "--samples", "-5"], "--samples must be >= 1"),
+    (["mating", "calibrate", "--gamma", "1", "--samples", "0"], "--samples must be >= 1"),
+], ids=["charges-not-numbers", "charges-count", "rotate-zero-samples",
+        "rotate-negative-samples", "calibrate-zero-samples"])
+def test_malformed_field_and_mating_options_are_usage_errors(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 N21 = Path(__file__).parent / "data" / "template_n21.map"

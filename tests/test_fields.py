@@ -194,6 +194,12 @@ def test_rotation_independence_report():
     assert rep.charge_sum_drift < 1e-12
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_rotation_test_refuses_fewer_than_one_sample(samples):
+    with pytest.raises(FieldsError, match="at least one sample"):
+        fl.rotation_independence_test(4, np.eye(2), samples, seed=0)
+
+
 ROT45 = np.array([[math.cos(math.pi / 4), -math.sin(math.pi / 4)],
                   [math.sin(math.pi / 4), math.cos(math.pi / 4)]])
 

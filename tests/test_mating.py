@@ -203,6 +203,12 @@ def test_covariance_calibration():
     assert rep.max_rel_dev < 0.05
 
 
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_calibration_refuses_fewer_than_one_increment(n_steps):
+    with pytest.raises(MatingError, match="at least one increment"):
+        mt.calibrate_covariance(mt.mot_params(1.0, 0.1, 64, 11), n_steps=n_steps)
+
+
 @pytest.mark.parametrize("gamma, steps", SHIFT_SETTINGS)
 def test_increment_mix_is_the_oracle_step_cholesky(gamma, steps):
     # the sampler's mix of unit increments is the oracle's Cholesky factor

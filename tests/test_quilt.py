@@ -327,7 +327,9 @@ def test_product_law_mixed_budgets(chain3_sub):
 
 def test_product_law_budgets_3_3(chain3_sub):
     # the probe of scale: the search without the cluster check expanded
-    # 216,035 nodes and built 18,474 leaves for these 2,730 fillings
+    # 216,035 nodes and built 18,474 leaves for these 2,730 fillings; with
+    # it, 2,495 nodes, and with the closing look-ahead too, 879 nodes and
+    # 2,730 leaves
     fills = qe.enumerate_fillings(chain3_sub, (3, 3))
     assert hashlib.sha256(b"".join(f.key for f in fills)).hexdigest() == (
         "490b1e05c4c717c3bf08a3d8bc27b5da900765165bdd74c7adc09dbec5723997")
@@ -488,7 +490,7 @@ def test_search_counters_account_for_every_leaf(chain3_sub):
     assert set(search["rejects"]) == set(qe.REJECT_REASONS)
     assert search["leaves"] == rep.n_fillings + sum(search["rejects"].values())
     assert search["nodes"] > 0 and search["closing_cuts"] > 0 and search["budget_cuts"] > 0
-    assert search["rejects"]["over_budget"] == 0
+    assert search["leaves"] == rep.n_fillings
     again = qe.verify_product_bijection(chain3_sub, (2, 2), constructive=False)
     assert again.search == search
     counters = {}
@@ -511,25 +513,69 @@ def _keys_and_counters(tsub, budgets):
 ORACLE_BUDGETS = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (2, 3)]
 
 
+def _assert_matches_oracle(tsub, budgets, monkeypatch, keep_terminal_close):
+    """Compare the search with its oracle, in which every cluster check,
+    hole label and closing look-ahead accepts.  With ``keep_terminal_close``
+    a child that can place no further face is still closed only if its arcs
+    already match the 2-gon (the look-ahead with no budget left): without
+    it every such child is built as a leaf, which costs minutes on the
+    larger budgets."""
+    keys, pruned = _keys_and_counters(tsub, budgets)
+    monkeypatch.setattr(qe._Search, "fits", lambda self, clusters: True)
+    monkeypatch.setattr(qe, "_grow_clusters", lambda search, builder, left, right, clusters: [
+        ((t, s), clusters) for t in range(1, len(left) + 1) for s in range(1, len(right) + 1)])
+    monkeypatch.setattr(qe, "_hole_labels_fit", lambda search, left, right, clusters: True)
+    lookahead = qe._closing_lookahead
+
+    def terminal_close(search, tag, children, left_raw, right_raw, budget_left):
+        if budget_left or not keep_terminal_close:
+            return children
+        return lookahead(search, tag, children, left_raw, right_raw, False)
+
+    monkeypatch.setattr(qe, "_closing_lookahead", terminal_close)
+    oracle_keys, unpruned = _keys_and_counters(tsub, budgets)
+    assert keys == oracle_keys
+    # every leaf of the pruned search is a filling
+    assert pruned["leaves"] == len(keys) and pruned["rejects"]["over_budget"] == 0
+    assert unpruned["leaves"] == len(oracle_keys) + sum(unpruned["rejects"].values())
+    assert pruned["budget_cuts"] > 0 and pruned["closing_cuts"] > 0
+    assert unpruned["budget_cuts"] == unpruned["hole_cuts"] == 0
+    assert pruned["nodes"] <= unpruned["nodes"]
+    return pruned, unpruned
+
+
 @pytest.mark.parametrize("name,budgets", [
     *((name, b) for name in ("chain", "wide", "two-pass") for b in ORACLE_BUDGETS),
     ("chain", (4, 1)),
 ], ids=str)
 def test_cluster_prune_matches_unpruned_search(name, budgets, monkeypatch):
     tsub = build_subtemplate(*FIXTURES[name])
-    keys, pruned = _keys_and_counters(tsub, budgets)
-    # the oracle: every cluster check accepts, which is the search without them
-    monkeypatch.setattr(qe._Search, "fits", lambda self, clusters: True)
-    monkeypatch.setattr(qe, "_grow_clusters", lambda search, builder, left, right, clusters: [
-        ((t, s), clusters) for t in range(1, len(left) + 1) for s in range(1, len(right) + 1)])
-    oracle_keys, unpruned = _keys_and_counters(tsub, budgets)
-    assert keys == oracle_keys
-    for counters, n in ((pruned, len(keys)), (unpruned, len(oracle_keys))):
-        assert counters["leaves"] == n + sum(counters["rejects"].values())
-    assert pruned["budget_cuts"] > 0 and unpruned["budget_cuts"] == 0
-    assert pruned["nodes"] <= unpruned["nodes"]
-    if len(set(budgets)) == 1:
-        assert pruned["rejects"]["over_budget"] == 0
+    _assert_matches_oracle(tsub, budgets, monkeypatch, keep_terminal_close=True)
+
+
+@pytest.mark.parametrize("name,budgets", [
+    (name, b) for name in ("chain", "wide", "two-pass") for b in ((2, 1), (1, 2))], ids=str)
+def test_closing_lookahead_matches_unchecked_search(name, budgets, monkeypatch):
+    # the whole look-ahead off: every child that can place no further face
+    # is built, reduced and matched
+    tsub = build_subtemplate(*FIXTURES[name])
+    _, unpruned = _assert_matches_oracle(tsub, budgets, monkeypatch, keep_terminal_close=False)
+    assert unpruned["closing_cuts"] == 0 and unpruned["rejects"]["key_mismatch"] > 0
+
+
+def test_swapped_hole_labels_change_the_fillings(monkeypatch):
+    # a planted unsound label: the 2-gon's single-hole runs name the other hole
+    tsub = build_subtemplate(*FIXTURES["chain"])
+    keys, _ = _keys_and_counters(tsub, (1, 3))
+    side = qe._tsub_side
+
+    def swapped(tsub, face, side_idx):
+        profile, holes = side(tsub, face, side_idx)
+        return profile, tuple(None if h is None else 1 - h for h in holes)
+
+    monkeypatch.setattr(qe, "_tsub_side", swapped)
+    planted, counters = _keys_and_counters(tsub, (1, 3))
+    assert planted != keys and counters["hole_cuts"] > 0
 
 
 def test_enumeration_result_freed_without_gc(chain3_sub):
