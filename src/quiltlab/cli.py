@@ -291,6 +291,8 @@ def cmd_fields_rotate(args):
             f"--charges takes comma-separated numbers, got {args.charges!r}") from None
     if len(charges) != n:
         raise UsageError(f"--charges needs {n} values for --n {n}, got {len(charges)}")
+    if not all(map(math.isfinite, charges)):
+        raise UsageError(f"--charges must be finite numbers, got {args.charges!r}")
     if n == 2:
         c, s = math.cos(args.angle), math.sin(args.angle)
         a = np.array([[c, -s], [s, c]])
@@ -354,30 +356,63 @@ def cmd_verify_all(args):
 # --- parser ------------------------------------------------------------------------
 
 
+def _number(flag, kind, low=-math.inf, high=math.inf, strict=False):
+    """The argparse ``type`` of a numeric option: ``kind(text)`` must lie in
+    [low, high], or in (low, high) when ``strict``.  NaN lies in neither, and
+    an unbounded end is an infinity, so a strict domain is finite.  A value
+    outside it is an ArgumentTypeError that names ``flag``: exit 2."""
+    rule = []
+    if low > -math.inf:
+        rule.append(f"> {low}" if strict else f">= {low}")
+    if high < math.inf:
+        rule.append(f"< {high}" if strict else f"<= {high}")
+    if strict and math.inf in (-low, high):
+        rule.append("finite")
+    noun = "an integer" if kind is int else "a number"
+
+    def convert(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{flag} takes {noun}, got {text!r}") from None
+        if not (low < value < high if strict else low <= value <= high):
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be {' and '.join(rule)}, got {text}")
+        return value
+
+    return convert
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="quilt-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
-        p.add_argument("--seed", type=int, default=2)
+        p.add_argument("--seed", type=_number("--seed", int, 0), default=2)
 
     def add_out(p):
         p.add_argument("--out", default=None)
 
+    def add_walk(p):
+        p.add_argument("--gamma", type=_number("--gamma", float, 0, 2, strict=True),
+                       required=True)
+        p.add_argument("--eps", type=_number("--eps", float, 0, strict=True), default=0.1)
+        p.add_argument("--steps", type=_number("--steps", int, 2), default=64)
+
     p_me = sub.add_parser("meander", help="meander enumeration and verification")
     me_sub = p_me.add_subparsers(dest="subcommand", required=True)
     p = me_sub.add_parser("count")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number("--size", int, 1), required=True)
     p.add_argument("--method", choices=("pairs", "transfer"), default="pairs")
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_meander_count)
     p = me_sub.add_parser("verify")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number("--size", int, 1), required=True)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_meander_verify)
     p = me_sub.add_parser("classes")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_number("--size", int, 1), required=True)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_meander_classes)
 
@@ -401,41 +436,38 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--holes", required=True,
                    help="comma-separated face ids to carve out as holes")
-    p.add_argument("--budget", type=int, default=2)
+    p.add_argument("--budget", type=_number("--budget", int, 1), default=2)
     p.add_argument("--no-compose", action="store_true")
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_quilt_verify_bijection)
     p = q_sub.add_parser("winding-labels")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--holes", required=True)
-    p.add_argument("--budget", type=int, default=2)
+    p.add_argument("--budget", type=_number("--budget", int, 1), default=2)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_quilt_winding_labels)
 
     p_mt = sub.add_parser("mating", help="mating-of-trees simulator")
     mt_sub = p_mt.add_subparsers(dest="subcommand", required=True)
     p = mt_sub.add_parser("simulate")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=64)
+    add_walk(p)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_mating_simulate)
     p = mt_sub.add_parser("calibrate")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--steps", type=int, default=64)
-    p.add_argument("--samples", type=int, default=10_000)
+    add_walk(p)
+    p.add_argument("--samples", type=_number("--samples", int, 1), default=10_000)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_mating_calibrate)
 
     p_f = sub.add_parser("fields", help="field rotation and lattice identities")
     f_sub = p_f.add_subparsers(dest="subcommand", required=True)
     p = f_sub.add_parser("rotate")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_number("--n", int, 1), default=2)
     p.add_argument("--charges", default="1,1")
-    p.add_argument("--angle", type=float, default=math.pi / 4)
-    p.add_argument("--grid", type=int, default=16)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--angle", type=_number("--angle", float, strict=True),
+                   default=math.pi / 4)
+    p.add_argument("--grid", type=_number("--grid", int, 3), default=16)
+    p.add_argument("--samples", type=_number("--samples", int, 1), default=10_000)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_fields_rotate)
     p = f_sub.add_parser("kirchhoff")
@@ -443,12 +475,12 @@ def build_parser():
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_fields_kirchhoff)
     p = f_sub.add_parser("partition-identity")
-    p.add_argument("--grid", type=int, default=4)
+    p.add_argument("--grid", type=_number("--grid", int, 3), default=4)
     add_seed(p); add_out(p)
     p.set_defaults(func=cmd_fields_partition_identity)
 
     p = sub.add_parser("verify-all", help="run the acceptance checks")
-    p.add_argument("--budget", type=float, default=None,
+    p.add_argument("--budget", type=_number("--budget", float, 0), default=None,
                    help="time budget in seconds (0 skips everything)")
     p.add_argument("--inject-fault", default=None,
                    help="test hook: corrupt a named check (e.g. 'determinant')")
@@ -471,23 +503,15 @@ def main(argv=None):
             break
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "size", None) is not None and args.size < 1:
-            parser.error("--size must be >= 1")
-        if getattr(args, "samples", None) is not None and args.samples < 1:
-            parser.error("--samples must be >= 1")
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else EXIT_OK
     seed_env = os.environ.get("QUILTLAB_SEED")
     try:
         if seed_env is not None and hasattr(args, "seed"):
-            try:
-                args.seed = int(seed_env)
-            except ValueError:
-                raise UsageError(
-                    f"QUILTLAB_SEED must be an integer, got {seed_env!r}") from None
+            args.seed = _number("QUILTLAB_SEED", int, 0)(seed_env)
         return args.func(args)
-    except (ParseError, UsageError) as exc:
+    except (ParseError, UsageError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QuiltLabError as exc:

@@ -201,7 +201,7 @@ def check_orthogonal(A: np.ndarray, tol=ORTHO_TOL):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotOrthogonal("matrix must be square")
     err = np.max(np.abs(A.T @ A - np.eye(A.shape[0])))
-    if err > tol:
+    if not err <= tol:  # a NaN error fails too
         raise NotOrthogonal(f"max |A^T A - I| = {err:.3e} > {tol}")
     return A
 

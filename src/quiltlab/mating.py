@@ -22,6 +22,10 @@ Conventions and proxies, documented once:
   is that of the bridge conditioned on the quadrant.  ``rejections`` counts
   these R-stage proposals.  Seeded walks and quilts differ from versions
   that rejected on both coordinates; the law is the same.
+* the partition has at least one cut by construction: the first cut is
+  Exp(1 / epsilon) truncated to (0, t), the rest a Poisson partition of
+  (first, t], exact as the process is memoryless.  Seeded quilts differ
+  from versions that redrew partitions with no cut; the law is the same.
 * between two neighbouring points the walk is, coordinate by coordinate, a
   Brownian bridge conditioned to stay >= 0: the value at each Poisson cut
   time and the minimum over each sub-interval are drawn from that law
@@ -70,8 +74,8 @@ class MotParams:
 def mot_params(gamma, epsilon, steps, seed, duration=1.0) -> MotParams:
     if not 0 < gamma < 2:
         raise GammaOutOfRange(f"gamma must lie in (0, 2), got {gamma}")
-    if epsilon <= 0 or steps < 2 or duration <= 0:
-        raise MatingError("epsilon, duration must be positive and steps >= 2")
+    if not (0 < epsilon < math.inf and 0 < duration < math.inf) or steps < 2:
+        raise MatingError("epsilon, duration must be positive and finite and steps >= 2")
     angle = math.pi * gamma * gamma / 4.0
     return MotParams(
         gamma=gamma,
@@ -469,24 +473,22 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
     Deterministic given (params, seed): all randomness flows from one
     generator seeded by ``p.seed``, and seeded quilts differ from versions
     that drew the walk by rejection on both coordinates.  One walk is drawn
-    (:func:`sample_cone_walk`), and the partition is redrawn only while it
-    has fewer than 2 parts, so the kept part count is 1 + Poisson(t /
-    epsilon) conditioned on at least one cut.  The provenance counts the
-    walks (always 1), the proposals rejected before the walk
-    (``rejections``: R-stage proposals, L being drawn >= 0 by the cyclic
-    shift) and the partitions redrawn (``partition_resamples``);
-    ``snap_merges`` is always 0: cuts are not snapped to the grid.
+    (:func:`sample_cone_walk`) and one partition with at least one cut, so
+    the part count is 1 + Poisson(t / epsilon) conditioned on at least one
+    cut, with no redraw.  The provenance counts the walks (always 1) and the
+    proposals rejected before the walk (``rejections``: R-stage proposals,
+    L being drawn >= 0 by the cyclic shift); ``partition_resamples`` and
+    ``snap_merges`` are always 0: no partition is redrawn and no cut is
+    snapped to the grid.
     Raises MatingError if the cells come out degenerate, which has
     probability zero under the sub-grid law.
     """
     if rng is None:
         rng = np.random.default_rng(p.seed)
     walk = sample_cone_walk(p, rng=rng)
-    resamples = 0
-    parts = poisson_partition(walk.duration, p.epsilon, rng=rng)
-    while len(parts) < 2:
-        resamples += 1
-        parts = poisson_partition(walk.duration, p.epsilon, rng=rng)
+    t = walk.duration
+    first = -p.epsilon * math.log1p(rng.random() * math.expm1(-t / p.epsilon))
+    parts = np.concatenate(([first], poisson_partition(t - first, p.epsilon, rng=rng)))
     refined, idx = refine_walk(walk, np.cumsum(parts)[:-1], p.variance, rng)
     cells = cell_lengths_at(refined, idx)
     if cells.degenerate():
@@ -501,7 +503,7 @@ def simulate_discretized_disk(p: MotParams, rng=None) -> SimulationResult:
         "rejections": walk.rejections,
         "walks": 1,
         "poisson_parts": int(len(parts)),
-        "partition_resamples": resamples,
+        "partition_resamples": 0,
         "snap_merges": 0,
         "length_collisions": int(collisions),
     }

@@ -369,12 +369,16 @@ class DeterminantReport:
     det_float: float
     left_tree_size: int
     bijection_ok: bool
-    triangular_ok: bool
     dropped_edge: int
 
     @property
     def unit(self):
         return abs(self.det) == 1
+
+    @property
+    def triangular_ok(self):
+        """The bijection is the triangularity: see :func:`_left_tree_contour`."""
+        return self.bijection_ok
 
 
 def _left_tree_contour(m: pm.HalfEdgeMap, tree_edges, start):
@@ -462,7 +466,6 @@ def side_length_map_determinant(t: Template) -> DeterminantReport:
         det_float=det_float,
         left_tree_size=len(tree),
         bijection_ok=bijection_ok,
-        triangular_ok=bijection_ok,
         dropped_edge=dropped[0],
     )
     if abs(abs(det) - 1) > 0 or abs(abs(det_float) - 1.0) > DET_TOL:
@@ -529,7 +532,7 @@ def _face_bfs_order(t: Template):
                 seen[g] = True
                 queue.append(g)
                 order.append(g)
-    return order
+    return tuple(order)
 
 
 def mark_subtemplate(t: Template, faces) -> MarkedSubtemplate:
@@ -572,7 +575,7 @@ def mark_subtemplate(t: Template, faces) -> MarkedSubtemplate:
         raise DisconnectedSelection("marked faces are not edge-connected")
 
     # complement clusters in first-encounter order
-    bfs = _face_bfs_order(t)
+    bfs = t._memo("_face_bfs", _face_bfs_order)
     cluster_of = {}
     clusters = []
     for f in bfs:

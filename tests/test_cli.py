@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,57 @@ def test_malformed_field_and_mating_options_are_usage_errors(capsys, argv, messa
 
 
 N21 = Path(__file__).parent / "data" / "template_n21.map"
+
+
+class _Hung(Exception):
+    """Raised by the alarm below; not an OSError, so main does not catch it."""
+
+
+def _hang_up(signum, frame):
+    raise _Hung("still running after 20 s")
+
+
+# one row per value outside its option's domain; the flag under test is
+# argv[-2] and its value argv[-1]
+DOMAIN_ROWS = {
+    "size-0": ["meander", "count", "--size", "0"],
+    "samples-0": ["fields", "rotate", "--samples", "0"],
+    "steps-1": ["mating", "simulate", "--gamma", "1", "--steps", "1"],
+    "eps-0": ["mating", "simulate", "--gamma", "1", "--eps", "0"],
+    "eps-nan": ["mating", "simulate", "--gamma", "1", "--eps", "nan"],
+    "eps-inf": ["mating", "simulate", "--gamma", "1", "--eps", "inf"],
+    "calibrate-eps-inf": ["mating", "calibrate", "--gamma", "1", "--eps", "inf"],
+    "gamma-3": ["mating", "simulate", "--gamma", "3"],
+    "gamma-nan": ["mating", "simulate", "--gamma", "nan"],
+    "rotate-grid-0": ["fields", "rotate", "--grid", "0"],
+    "rotate-grid-2": ["fields", "rotate", "--grid", "2"],
+    "partition-grid-0": ["fields", "partition-identity", "--grid", "0"],
+    "partition-grid-2": ["fields", "partition-identity", "--grid", "2"],
+    "n-0": ["fields", "rotate", "--n", "0"],
+    "angle-inf": ["fields", "rotate", "--angle", "inf"],
+    "angle-nan": ["fields", "rotate", "--angle", "nan"],
+    "charges-nan": ["fields", "rotate", "--charges", "1,nan"],
+    "quilt-budget-0": ["quilt", "verify-bijection", "--in", str(N21), "--holes", "3",
+                       "--budget", "0"],
+    "quilt-budget-negative": ["quilt", "winding-labels", "--in", str(N21), "--holes", "3",
+                              "--budget", "-1"],
+    "verify-all-budget-nan": ["verify-all", "--budget", "nan"],
+    "seed-negative": ["mating", "simulate", "--gamma", "1", "--seed", "-1"],
+}
+
+
+@pytest.mark.parametrize("argv", DOMAIN_ROWS.values(), ids=DOMAIN_ROWS.keys())
+def test_numeric_option_outside_its_domain_is_a_usage_error(capsys, argv):
+    previous = signal.signal(signal.SIGALRM, _hang_up)
+    signal.alarm(20)
+    try:
+        code, out, err = run(argv, capsys)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert any("error:" in line and f"{argv[-2]} must be" in line
+               for line in err.splitlines()), err
 
 
 @pytest.mark.parametrize("command", ["winding-labels", "verify-bijection"])

@@ -184,6 +184,11 @@ def test_not_orthogonal_rejected():
         fl.rotate_fields(fv, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def test_nan_matrix_is_not_orthogonal():
+    with pytest.raises(NotOrthogonal):
+        fl.check_orthogonal(np.full((2, 2), np.nan))
+
+
 def test_rotation_independence_report():
     angle = math.pi / 4
     rot = np.array([[math.cos(angle), -math.sin(angle)],

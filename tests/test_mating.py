@@ -42,6 +42,43 @@ def test_params_near_two_flagged():
         mt.mot_params(0.0, 0.1, 64, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_params_refuse_a_non_finite_epsilon_or_duration(bad):
+    with pytest.raises(MatingError):
+        mt.mot_params(1.0, bad, 8, 0)
+    with pytest.raises(MatingError):
+        mt.mot_params(1.0, 0.1, 8, 0, duration=bad)
+
+
+def test_huge_epsilon_draws_its_one_cut_without_redraws():
+    res = mt.simulate_discretized_disk(mt.mot_params(1.0, 1e7, 8, 0))
+    assert res.provenance["poisson_parts"] == 2
+    assert res.provenance["partition_resamples"] == 0
+
+
+FIRST_CUT_ALPHA = 1e-4  # per seed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_first_cut_is_a_truncated_exponential(monkeypatch, seed):
+    # the first of the Poisson cuts, given at least one: Exp(1 / epsilon)
+    # conditioned to fall before t
+    honest, firsts = mt.refine_walk, []
+
+    def spy(walk, cuts, variance, rng):
+        firsts.append(cuts[0])
+        return honest(walk, cuts, variance, rng)
+
+    monkeypatch.setattr(mt, "refine_walk", spy)
+    p = mt.mot_params(math.sqrt(2), 0.3, 8, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(400):
+        mt.simulate_discretized_disk(p, rng=rng)
+    t, eps = p.duration, p.epsilon
+    cdf = lambda x: np.expm1(-x / eps) / math.expm1(-t / eps)
+    assert scipy.stats.kstest(firsts, cdf).pvalue > FIRST_CUT_ALPHA
+
+
 def test_walk_positivity_and_pinning(rng):
     p = mt.mot_params(math.sqrt(2), 0.1, 64, 5)
     walk = mt.sample_cone_walk(p, rng=rng)
