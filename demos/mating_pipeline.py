@@ -31,4 +31,4 @@ print("side-length determinant:", det.det)
 
 cal = mt.calibrate_covariance(p)
 print(f"increment covariance calibration: max relative deviation "
-      f"{cal.max_rel_dev:.3f} (target < 0.05)")
+      f"{cal.max_rel_dev:.3f}, family-wise z {cal.max_z:.2f}, passed: {cal.passed}")

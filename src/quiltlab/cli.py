@@ -178,7 +178,7 @@ def cmd_quilt_determinant(args):
         "bijection_ok": report.bijection_ok,
         "triangular_ok": report.triangular_ok,
     })
-    return EXIT_OK if report.unit else EXIT_FAIL
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _subtemplate_from_file(path, holes):
@@ -276,7 +276,7 @@ def cmd_mating_calibrate(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if rep.max_rel_dev < 0.05 else EXIT_FAIL
+    return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 # --- fields ----------------------------------------------------------------------
@@ -310,9 +310,7 @@ def cmd_fields_rotate(args):
         "charge_sum_after": report.charge_sum_after,
         "charge_sum_drift": report.charge_sum_drift,
     })
-    ok = (report.max_cross_z < 4.0 and report.max_marginal_dev_stderr < 5.0
-          and report.charge_sum_drift < 1e-12)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def cmd_fields_kirchhoff(args):
@@ -331,7 +329,7 @@ def cmd_fields_partition_identity(args):
         "det_exact": rep.det_exact,
         "residual": rep.residual,
     })
-    return EXIT_OK if rep.residual < 1e-10 else EXIT_FAIL
+    return EXIT_OK if rep.passed else EXIT_FAIL
 
 
 # --- verify-all --------------------------------------------------------------------
@@ -397,7 +395,9 @@ def build_parser():
     def add_walk(p):
         p.add_argument("--gamma", type=_number("--gamma", float, 0, 2, strict=True),
                        required=True)
-        p.add_argument("--eps", type=_number("--eps", float, 0, strict=True), default=0.1)
+        # duration 1: --eps bounds the expected cut count 1 / eps
+        p.add_argument("--eps", type=_number("--eps", float, 1 / mt.MAX_EXPECTED_CUTS,
+                                             strict=True), default=0.1)
         p.add_argument("--steps", type=_number("--steps", int, 2), default=64)
 
     p_me = sub.add_parser("meander", help="meander enumeration and verification")

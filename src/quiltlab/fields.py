@@ -38,6 +38,9 @@ from .errors import (
 )
 
 ORTHO_TOL = 1e-12
+PARTITION_TOL = 1e-10  # the Gaussian partition identity's relative residual
+# the rotation rule: family-wise z bounds (rates: rotation_independence_test), charge drift
+CROSS_Z_MAX, MARGINAL_Z_MAX, CHARGE_DRIFT_TOL = 4.0, 5.0, 1e-12
 
 
 # --- coupling constants ---------------------------------------------------------
@@ -238,6 +241,11 @@ class RotationReport:
     @property
     def charge_sum_drift(self):
         return abs(self.charge_sum_after - self.charge_sum_before)
+
+    @property
+    def passed(self):
+        return (self.max_cross_z < CROSS_Z_MAX and self.max_marginal_dev_stderr < MARGINAL_Z_MAX
+                and self.charge_sum_drift < CHARGE_DRIFT_TOL)
 
 
 _BLOCK = 1000  # draws per block: the check holds sums of products, not the draws
@@ -466,6 +474,10 @@ class PartitionIdentityReport:
     det_exact: int
     det_float: float
     residual: float
+
+    @property
+    def passed(self):
+        return self.residual < PARTITION_TOL
 
 
 def gaussian_partition_identity(g: Graph) -> PartitionIdentityReport:

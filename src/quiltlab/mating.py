@@ -49,8 +49,13 @@ from .errors import (
     PartitionMismatch,
     RejectionBudgetExceeded,
 )
+from .fields import _familywise_z
+from .quilt import CONSERVATION_TOL  # re-exported as mating.CONSERVATION_TOL
 
-CONSERVATION_TOL = 1e-9
+# the largest expected cut count t / epsilon: on a 2-CPU x86_64 machine one
+# quilt took 12-17 s at 10^5 and did not return within 120 s at 10^6
+MAX_EXPECTED_CUTS = 1e5
+CALIBRATION_Z_MAX = 4.0  # family-wise z of the covariance calibration
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,8 @@ def mot_params(gamma, epsilon, steps, seed, duration=1.0) -> MotParams:
         raise GammaOutOfRange(f"gamma must lie in (0, 2), got {gamma}")
     if not (0 < epsilon < math.inf and 0 < duration < math.inf) or steps < 2:
         raise MatingError("epsilon, duration must be positive and finite and steps >= 2")
+    if duration / epsilon > MAX_EXPECTED_CUTS:
+        raise MatingError(f"duration / epsilon must be <= {MAX_EXPECTED_CUTS:g} expected cuts")
     angle = math.pi * gamma * gamma / 4.0
     return MotParams(
         gamma=gamma,
@@ -235,6 +242,8 @@ def poisson_partition(t, epsilon, seed=None, rng=None) -> np.ndarray:
     """
     if t <= 0 or epsilon <= 0:
         raise MatingError("t and epsilon must be positive")
+    if not t / epsilon <= MAX_EXPECTED_CUTS:
+        raise MatingError(f"t / epsilon must be <= {MAX_EXPECTED_CUTS:g} expected cuts")
     if rng is None:
         rng = np.random.default_rng(seed)
     n_points = rng.poisson(t / epsilon)
@@ -515,6 +524,11 @@ class CovarianceReport:
     target: tuple
     empirical: tuple
     max_rel_dev: float
+    max_z: float  # the family-wise z-score of the worst entry
+
+    @property
+    def passed(self):
+        return self.max_z < CALIBRATION_Z_MAX
 
 
 def calibrate_covariance(p: MotParams, n_steps=10_000, rng=None) -> CovarianceReport:
@@ -523,7 +537,11 @@ def calibrate_covariance(p: MotParams, n_steps=10_000, rng=None) -> CovarianceRe
     Measured on the sampler's own unconditioned increments, those of
     :func:`_increment_mix`: quadrant conditioning reweights accepted paths,
     so the generator, not the accepted ensemble, is what the covariance
-    target specifies.
+    target specifies.  ``max_z`` is the family-wise z over the 3 entries of
+    their deviations in estimator-stderr units (relative to the target
+    variance: sqrt(2 / n) for a variance, sqrt((1 + rho^2) / n) for the
+    covariance); below 4 it passes, a false-alarm rate of at most 6.3e-5
+    once the estimates are near normal (the chi^2 skew of small n adds some).
     """
     if n_steps < 1:
         raise MatingError(f"need at least one increment, got {n_steps}")
@@ -535,13 +553,15 @@ def calibrate_covariance(p: MotParams, n_steps=10_000, rng=None) -> CovarianceRe
     emp = (incs.T @ incs) / n_steps
     var_target = p.variance * dt
     cov_target = p.correlation * p.variance * dt
-    devs = [
+    devs = np.array([
         abs(emp[0, 0] - var_target) / var_target,
         abs(emp[1, 1] - var_target) / var_target,
         abs(emp[0, 1] - cov_target) / var_target,
-    ]
+    ])
+    stderr = np.sqrt(np.array([2.0, 2.0, 1.0 + p.correlation**2]) / n_steps)
     return CovarianceReport(
         target=(var_target, cov_target),
         empirical=(float(emp[0, 0]), float(emp[1, 1]), float(emp[0, 1])),
-        max_rel_dev=float(max(devs)),
+        max_rel_dev=float(devs.max()),
+        max_z=_familywise_z(float(np.max(devs / stderr)), 3),
     )

@@ -51,6 +51,7 @@ from .errors import (
 from .fields import bareiss_determinant
 
 DET_TOL = 1e-9
+CONSERVATION_TOL = 1e-9  # closing side lengths against the conservation identities
 
 
 @dataclass(frozen=True)
@@ -372,8 +373,10 @@ class DeterminantReport:
     dropped_edge: int
 
     @property
-    def unit(self):
-        return abs(self.det) == 1
+    def passed(self):
+        """|det| = 1, exactly and within DET_TOL in floats, and the left-tree
+        bijection, which is only tried on a left tree of 2n + 1 edges."""
+        return abs(self.det) == 1 and abs(abs(self.det_float) - 1) <= DET_TOL and self.bijection_ok
 
     @property
     def triangular_ok(self):

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from quiltlab import _verify
 from quiltlab import fields as fl
+from quiltlab import mating as mt
 from quiltlab import planar_map as pm
 from quiltlab import quilt as qt
 from quiltlab import quilt_enum as qe
@@ -230,6 +233,8 @@ DOMAIN_ROWS = {
     "eps-nan": ["mating", "simulate", "--gamma", "1", "--eps", "nan"],
     "eps-inf": ["mating", "simulate", "--gamma", "1", "--eps", "inf"],
     "calibrate-eps-inf": ["mating", "calibrate", "--gamma", "1", "--eps", "inf"],
+    "eps-1e-300": ["mating", "simulate", "--gamma", "1", "--eps", "1e-300"],
+    "eps-1e-8": ["mating", "simulate", "--gamma", "1", "--eps", "1e-8"],
     "gamma-3": ["mating", "simulate", "--gamma", "3"],
     "gamma-nan": ["mating", "simulate", "--gamma", "nan"],
     "rotate-grid-0": ["fields", "rotate", "--grid", "0"],
@@ -295,6 +300,45 @@ def test_one_winding_rule_at_the_tolerance(tmp_path, capsys, monkeypatch):
         code, _, _ = run(["quilt", "winding-labels", "--in", str(path),
                           "--holes", holes], capsys)
         assert code == (0 if agree else 1)
+
+
+# one row per claim: its report class, its CLI command and its verify-all check
+ONE_RULE_ROWS = {
+    "determinant": (qt.DeterminantReport, ["quilt", "determinant", "--in", str(N21)],
+                    _verify.check_unit_determinant),
+    "rotation": (fl.RotationReport, ["fields", "rotate", "--grid", "4", "--samples", "500"],
+                 _verify.check_field_rotation),
+    "partition-identity": (fl.PartitionIdentityReport, ["fields", "partition-identity"],
+                           _verify.check_lattice_identities),
+    "calibration": (mt.CovarianceReport, ["mating", "calibrate", "--gamma", "1",
+                                          "--samples", "1000"], None),
+}
+
+
+@pytest.mark.parametrize("report_cls, argv, check", ONE_RULE_ROWS.values(),
+                         ids=ONE_RULE_ROWS.keys())
+def test_each_claim_takes_its_verdict_from_the_report(capsys, monkeypatch,
+                                                      report_cls, argv, check):
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setattr(report_cls, "passed", property(lambda self: False))
+    assert run(argv, capsys)[0] == 1
+    if check is not None:
+        assert check(0)[0] is False
+
+
+def test_determinant_fails_without_the_left_tree(capsys, monkeypatch):
+    monkeypatch.setattr(qt, "_left_tree_contour", lambda m, tree, start: None)
+    code, out, _ = run(["quilt", "determinant", "--in", str(N21)], capsys)
+    payload = json.loads(out)
+    assert code == 1 and abs(payload["det"]) == 1 and not payload["bijection_ok"]
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quiltlab.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_verify_all_budget_zero(tmp_path, capsys):

@@ -238,6 +238,7 @@ def test_covariance_calibration():
     p = mt.mot_params(1.0, 0.1, 64, 11)
     rep = mt.calibrate_covariance(p, n_steps=10_000)
     assert rep.max_rel_dev < 0.05
+    assert rep.passed
 
 
 @pytest.mark.parametrize("n_steps", [0, -1])
@@ -273,9 +274,37 @@ def test_calibration_catches_planted_mix_defect(monkeypatch, drop_rho, sd_scale)
     # the defect reaches the sampler's proposals, and calibration sees it
     planted = mt._cone_proposals(p, 50, np.random.default_rng(0))
     assert not np.array_equal(honest[1], planted[1])
-    assert mt.calibrate_covariance(p, n_steps=10_000).max_rel_dev > 0.05
+    rep = mt.calibrate_covariance(p, n_steps=10_000)
+    assert rep.max_rel_dev > 0.05 and not rep.passed
     monkeypatch.setattr(mt, "_increment_mix", _planted_mix(False, 1.0))
-    assert mt.calibrate_covariance(p, n_steps=10_000).max_rel_dev < 0.05
+    rep = mt.calibrate_covariance(p, n_steps=10_000)
+    assert rep.max_rel_dev < 0.05 and rep.passed
+
+
+def test_calibration_catches_a_ten_percent_variance_excess(monkeypatch):
+    # L's variance 1.1 times the target, R's mix unchanged: a 7-stderr
+    # excess at 10^4 samples, so the z < 4 rule fails it at every seed
+    honest = mt._increment_mix
+
+    def excess(p, a, b, drift=0.0):
+        L, R = honest(p, a, b, drift)
+        return math.sqrt(1.1) * L, R
+
+    monkeypatch.setattr(mt, "_increment_mix", excess)
+    reps = [mt.calibrate_covariance(mt.mot_params(1.0, 0.1, 64, s), n_steps=10_000)
+            for s in range(30)]
+    assert not any(rep.passed for rep in reps)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-300])
+def test_expected_cut_count_is_bounded(eps):
+    # past MAX_EXPECTED_CUTS a partition would take minutes or overflow the
+    # Poisson draw: both entry points refuse it before drawing anything
+    with pytest.raises(MatingError, match="expected cuts"):
+        mt.poisson_partition(1.0, eps, rng=np.random.default_rng(0))
+    with pytest.raises(MatingError, match="expected cuts"):
+        mt.mot_params(1.0, eps, 64, 0)
+    assert mt.mot_params(1.0, 1 / mt.MAX_EXPECTED_CUTS, 64, 0).epsilon == 1e-5
 
 
 def test_poisson_single_part_probability(rng):
