@@ -22,7 +22,7 @@ import math
 
 from . import planar_map as pm
 from .errors import ConstraintViolated, LengthCollision, TemplateError
-from .quilt import CONSERVATION_TOL, Quilt, Template, validate_template
+from .quilt import Quilt, Template, conserved, validate_template
 
 EXT = -1  # sentinel face index for the outer 1-gon
 
@@ -265,7 +265,7 @@ def build_quilt_from_cells(cells):
     f_last = template.face_order[-1]
     sides = quilt.side_lengths(f_last)
     l_close, r_close = sides[1], sides[0]
-    if max(abs(l_close - cells.l_end_minus), abs(r_close - cells.r_end_minus)) > CONSERVATION_TOL:
+    if not conserved(max(abs(l_close - cells.l_end_minus), abs(r_close - cells.r_end_minus))):
         raise ConstraintViolated(
             "closing side lengths disagree with the conservation identities"
         )

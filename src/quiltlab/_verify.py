@@ -162,7 +162,7 @@ def check_mating_pipeline(seed, faulty=False, scale="quick"):
             return False, {"error": "cone constraints violated"}
     if faulty:
         worst_resid += 1.0
-    return worst_resid < mt.CONSERVATION_TOL, {
+    return qt.conserved(worst_resid), {
         "runs": runs, "max_conservation_residual": worst_resid,
     }
 
@@ -237,7 +237,8 @@ def check_lattice_identities(seed, faulty=False, scale="quick"):
     reps = [fl.gaussian_partition_identity(fl.grid_graph(L)) for L in (3, 4, 5, 6)]
     c2 = fl.c_sle(2.0)
     dual = max(abs(fl.c_sle(k) - fl.c_sle(16.0 / k)) for k in (0.7, 2.0, 3.0, 3.5, 6.0))
-    ok = all(rep.passed for rep in reps) and abs(c2 + 2.0) < 1e-12 and dual < 1e-12
+    ok = (all(rep.passed for rep in reps) and abs(c2 + 2.0) < fl.CENTRAL_CHARGE_TOL
+          and dual < fl.CENTRAL_CHARGE_TOL)
     return ok, {"graphs_checked": checked,
                 "partition_residual": max(rep.residual for rep in reps)}
 

@@ -41,6 +41,8 @@ ORTHO_TOL = 1e-12
 PARTITION_TOL = 1e-10  # the Gaussian partition identity's relative residual
 # the rotation rule: family-wise z bounds (rates: rotation_independence_test), charge drift
 CROSS_Z_MAX, MARGINAL_Z_MAX, CHARGE_DRIFT_TOL = 4.0, 5.0, 1e-12
+# c_sle(2) = -2 and the kappa <-> 16/kappa duality, each to this rounding bound
+CENTRAL_CHARGE_TOL = 1e-12
 
 
 # --- coupling constants ---------------------------------------------------------
@@ -529,12 +531,6 @@ def grid_graph(L: int) -> Graph:
         if i in (0, L - 1) or j in (0, L - 1)
     )
     return Graph(n=L * L, edges=tuple(edges), boundary=boundary)
-
-
-def star_graph_with_boundary(spokes: int) -> Graph:
-    """One interior vertex joined to ``spokes`` boundary vertices."""
-    edges = tuple((0, i) for i in range(1, spokes + 1))
-    return Graph(n=spokes + 1, edges=edges, boundary=frozenset(range(1, spokes + 1)))
 
 
 # --- graph file format ------------------------------------------------------------

@@ -50,7 +50,6 @@ from .errors import (
     RejectionBudgetExceeded,
 )
 from .fields import _familywise_z
-from .quilt import CONSERVATION_TOL  # re-exported as mating.CONSERVATION_TOL
 
 # the largest expected cut count t / epsilon: on a 2-CPU x86_64 machine one
 # quilt took 12-17 s at 10^5 and did not return within 120 s at 10^6

@@ -108,13 +108,6 @@ def _noncrossing_matchings(lo, hi):
     return tuple(out)
 
 
-def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
-
-
 def _trace_loop(upper: ArcDiagram, lower: ArcDiagram):
     """Follow the union of the two matchings starting at infinity.
 

@@ -304,17 +304,6 @@ def canonical_labeling(m: HalfEdgeMap):
     return label
 
 
-def relabel_map(m: HalfEdgeMap, dart_permutation):
-    """Apply a dart relabeling (conjugation); used by property tests."""
-    n = m.n_darts
-    nxt = [0] * n
-    twn = [0] * n
-    for d in range(n):
-        nxt[dart_permutation[d]] = dart_permutation[m.next_dart[d]]
-        twn[dart_permutation[d]] = dart_permutation[d ^ 1]
-    return build_map(nxt, twn, dart_permutation[m.root])
-
-
 # --- serialization -------------------------------------------------------------
 
 def to_text(m: HalfEdgeMap) -> str:
@@ -356,11 +345,6 @@ def polygon_map(k: int) -> HalfEdgeMap:
     outer = [((i + 1) % k, i) for i in reversed(range(k))]
     m, _ = from_face_edge_cycles([inner, outer])
     return m
-
-
-def single_edge_map() -> HalfEdgeMap:
-    """One edge, two vertices, one face of two darts."""
-    return build_map([0, 1], [1, 0], 0)
 
 
 def tetrahedron_map() -> HalfEdgeMap:

@@ -54,6 +54,12 @@ DET_TOL = 1e-9
 CONSERVATION_TOL = 1e-9  # closing side lengths against the conservation identities
 
 
+def conserved(residual) -> bool:
+    """The closing-length rule: a conservation residual within
+    ``CONSERVATION_TOL`` (``<=``; NaN fails)."""
+    return residual <= CONSERVATION_TOL
+
+
 @dataclass(frozen=True)
 class Template:
     """Planar map with holes and per-face marked vertices (root first, in

@@ -10,10 +10,12 @@ name read by ``getattr`` from a string counts as used.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "demos", "perfbench")
+WORD = re.compile(r"\w+")
 
 
 def _defined_names(tree):
@@ -33,19 +35,31 @@ def _defined_names(tree):
                         yield name.id, node.lineno, node.end_lineno
 
 
+def _word_lines(text):
+    """Each whole word of ``text`` and the numbers of the lines it is on."""
+    where = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        for word in WORD.findall(line):
+            where.setdefault(word, []).append(number)
+    return where
+
+
 def dead_names():
-    """``module:name`` of every name the package defines that nothing uses."""
+    """``module:name`` of every name the package defines that nothing uses.
+
+    Each file is split into words once; a name is mentioned where it is one
+    of those words."""
     texts = {path: path.read_text() for top in SEARCHED for path in (ROOT / top).rglob("*.py")}
+    words = {path: _word_lines(text) for path, text in texts.items()}
+    files_with = Counter(word for where in words.values() for word in where)
     dead = []
     for path in sorted((ROOT / "src" / "quiltlab").glob("*.py")):
-        lines = texts[path].splitlines()
-        elsewhere = "\n".join(text for other, text in texts.items() if other != path)
         for name, first, last in _defined_names(ast.parse(texts[path])):
             if name.startswith("__"):
                 continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            outside = "\n".join(lines[:first - 1] + lines[last:])
-            if not (word.search(elsewhere) or word.search(outside)):
+            own = words[path].get(name, [])
+            elsewhere = files_with[name] > (1 if own else 0)
+            if not (elsewhere or any(not first <= n <= last for n in own)):
                 dead.append(f"{path.stem}:{name}")
     return dead
 

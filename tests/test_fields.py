@@ -16,6 +16,8 @@ from quiltlab.errors import (
     NotOrthogonal,
 )
 
+from helpers import star_graph_with_boundary
+
 
 def test_c_sle_values():
     assert fl.c_sle(2.0) == pytest.approx(-2.0, abs=1e-12)
@@ -321,7 +323,7 @@ def test_bareiss_matches_dense_oracle_on_random_matrices():
 def test_bareiss_matches_dense_oracle_on_reduced_laplacians():
     rnd = random.Random(3)
     graphs = [fl.grid_graph(L) for L in (3, 4, 5, 6)]
-    graphs += [fl.star_graph_with_boundary(k) for k in (3, 4, 6)]
+    graphs += [star_graph_with_boundary(k) for k in (3, 4, 6)]
     for n in range(2, 12):
         pairs = list(itertools.combinations(range(n), 2))
         for _ in range(20):
@@ -357,7 +359,7 @@ def test_bareiss_matches_dense_oracle_on_quilt_side_length_maps(monkeypatch):
 
 
 def test_partition_identity_star4_quadrature_oracle():
-    g = fl.star_graph_with_boundary(4)
+    g = star_graph_with_boundary(4)
     rep = fl.gaussian_partition_identity(g)
     assert rep.det_exact == 4
     # independent oracle: numerically integrate exp(-4 x^2)
@@ -388,7 +390,7 @@ def test_partition_identity_grids():
 
 
 def test_partition_identity_disjoint_boundary_component():
-    g = fl.star_graph_with_boundary(4)
+    g = star_graph_with_boundary(4)
     bigger = fl.Graph(
         n=g.n + 2,
         edges=g.edges + ((g.n, g.n + 1),),

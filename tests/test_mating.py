@@ -482,6 +482,27 @@ def test_build_quilt_rejects_bad_cells():
         build_quilt_from_cells(cells)
 
 
+@pytest.mark.parametrize("at_tolerance", [True, False])
+def test_conservation_rule_is_one_comparison(monkeypatch, at_tolerance):
+    # a residual of exactly the tolerance passes the builder and the
+    # mating-pipeline check; one float above it fails both.  The residual is
+    # the dyadic 2^-20, so the builder's closing lengths carry it exactly,
+    # and the tolerance is set to it or to the float below it
+    resid = 2.0 ** -20
+    monkeypatch.setattr(qt, "CONSERVATION_TOL",
+                        resid if at_tolerance else math.nextafter(resid, 0.0))
+    cells = mt.CellLengths(l0_plus=0.5, r0_minus=0.25, r0_plus=0.5,
+                           interior=np.array([[0.25, 0.5, 0.25, 0.5]]),
+                           l_end_minus=0.75 + resid, r_end_minus=1.5)
+    monkeypatch.setattr(mt.CellLengths, "conservation_residual", lambda self: resid)
+    if at_tolerance:
+        build_quilt_from_cells(cells)
+    else:
+        with pytest.raises(ConstraintViolated, match="conservation"):
+            build_quilt_from_cells(cells)
+    assert vf.check_mating_pipeline(0)[0] is at_tolerance
+
+
 def test_partition_mismatch():
     times = np.linspace(0, 1, 5)
     walk = mt.ConeWalk(times=times, L=np.zeros(5), R=np.ones(5))

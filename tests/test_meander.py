@@ -8,6 +8,8 @@ from quiltlab import _verify
 from quiltlab import meander as me
 from quiltlab.errors import MeanderError, SizeMismatch
 
+from helpers import catalan
+
 # open meander counts by size (2m-1 crossings), frozen from the
 # pair-filter oracle and cross-checked by the transfer matrix; verify-all
 # stops at m = 5, the tests go on to m = 7
@@ -17,7 +19,7 @@ MEANDER_COUNTS = {**_verify.MEANDER_COUNTS, 6: 1828, 7: 13820}
 def test_arc_diagram_counts_are_catalan():
     for m in range(1, 6):
         diags = me.enumerate_arc_diagrams(m, me.UPPER)
-        assert len(diags) == me.catalan(m)
+        assert len(diags) == catalan(m)
         assert len(set(d.pairs for d in diags)) == len(diags)
 
 

@@ -12,6 +12,8 @@ from quiltlab.errors import (
     SizeMismatch,
 )
 
+from helpers import relabel_map, single_edge_map
+
 
 def test_triangle_counts():
     t = pm.polygon_map(3)
@@ -20,7 +22,7 @@ def test_triangle_counts():
 
 
 def test_single_edge_counts():
-    e = pm.single_edge_map()
+    e = single_edge_map()
     assert (e.n_vertices, e.n_edges, e.n_faces) == (2, 1, 1)
     assert e.euler_characteristic == 2
     assert len(pm.faces(e)[0]) == 2
@@ -33,7 +35,7 @@ def test_tetrahedron_counts():
 
 
 def test_face_cycles_partition_darts():
-    for m in (pm.polygon_map(3), pm.single_edge_map(), pm.tetrahedron_map()):
+    for m in (pm.polygon_map(3), single_edge_map(), pm.tetrahedron_map()):
         darts = [d for cyc in pm.faces(m) for d in cyc]
         assert sorted(darts) == list(range(m.n_darts))
         verts = [d for cyc in m.vertex_cycles for d in cyc]
@@ -98,7 +100,7 @@ def test_build_map_errors():
 
 def test_canonical_code_identity_and_distinct():
     t = pm.polygon_map(3)
-    e = pm.single_edge_map()
+    e = single_edge_map()
     assert pm.canonical_code(t) == pm.canonical_code(t)
     assert pm.canonical_code(t) != pm.canonical_code(e)
 
@@ -121,7 +123,7 @@ def test_canonical_code_relabel_invariant(seed):
     t = pm.tetrahedron_map()
     perm = list(range(t.n_darts))
     random.Random(seed).shuffle(perm)
-    relabeled = pm.relabel_map(t, perm)
+    relabeled = relabel_map(t, perm)
     assert pm.canonical_code(relabeled) == pm.canonical_code(t)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -440,6 +441,46 @@ def test_projection_keys_byte_identical(name):
         )).hexdigest()
         for i in range(tsub.n_holes))
     assert got == PROJECTION_DIGESTS[name]
+
+
+def _classes(keys):
+    """Each key replaced by the index of its first occurrence: two key lists
+    split their items alike exactly when these lists are equal."""
+    first = {}
+    return [first.setdefault(k, len(first)) for k in keys]
+
+
+@pytest.mark.parametrize("name,budgets", [
+    (name, b) for name in sorted(FIXTURES)
+    for b in ((2, 2), (2, 1), (1, 2), (3, 1), (1, 3), (4, 1), (2, 3), (3, 2))], ids=str)
+def test_hole_key_splits_fillings_as_projections_do(name, budgets):
+    # the product bijection keys each factor by the hole key; the projection
+    # is the definition (the chain-4-1 digest fixture is chain's subtemplate)
+    tsub = build_subtemplate(*FIXTURES[name])
+    try:
+        fills = qe.enumerate_fillings(tsub, budgets)
+    except BudgetExhausted:
+        assert (name, budgets) in {("two-pass", (1, 2)), ("two-pass", (1, 3))}
+        return
+    for i in range(tsub.n_holes):
+        assert _classes(qe.hole_key(tsub, f, i) for f in fills) == _classes(
+            qt.template_key(qe.project_filling(tsub, f, i).template) for f in fills)
+
+
+def test_hole_key_reads_the_cluster_marks():
+    # the fixtures' fillings never differ in marks alone, so rotate the marks
+    # of one cluster face: the projection changes, and so must the hole key
+    tsub, fills = _digest_fixture("chain")
+    f = fills[0]
+    for i, cluster in enumerate(f.clusters):
+        for g in cluster:
+            marks = dict(f.template.marks)
+            marks[g] = marks[g][1:] + marks[g][:1]
+            rotated = dataclasses.replace(
+                f, template=dataclasses.replace(f.template, marks=marks))
+            assert qt.template_key(qe.project_filling(tsub, rotated, i).template) != (
+                qt.template_key(qe.project_filling(tsub, f, i).template))
+            assert qe.hole_key(tsub, rotated, i) != qe.hole_key(tsub, f, i)
 
 
 def test_leaf_reductions_byte_identical(monkeypatch):
