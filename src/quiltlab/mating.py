@@ -128,29 +128,6 @@ class ConeWalk:
         return bool(self.L.min() >= 0.0 and self.R.min() >= 0.0)
 
 
-def _step_chol(p: MotParams):
-    """Cholesky factor of the per-step increment covariance Sigma dt: the
-    oracle's generator, written apart from :func:`_increment_mix`."""
-    dt = p.duration / p.steps
-    cov = p.variance * dt * np.array(
-        [[1.0, p.correlation], [p.correlation, 1.0]]
-    )
-    return np.linalg.cholesky(cov)
-
-
-def _bridge_batch(p: MotParams, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
-    """Exact Gaussian bridges from start to end: shape (count, steps+1, 2)."""
-    n = p.steps
-    incs = rng.standard_normal((count, n, 2)) @ _step_chol(p).T
-    paths = np.zeros((count, n + 1, 2))
-    paths[:, 1:, :] = np.cumsum(incs, axis=1)
-    paths += np.asarray(start, dtype=float)
-    drift = paths[:, -1, :] - np.asarray(end, dtype=float)
-    frac = (np.arange(n + 1) / n)[None, :, None]
-    paths -= frac * drift[:, None, :]  # exact endpoint pinning
-    return paths
-
-
 def _increment_mix(p: MotParams, a, b, drift=0.0):
     """(L, R) = (sd a, drift + rho sd a + sqrt(1 - rho^2) sd b), sd^2 the
     per-step variance ``variance * dt``.
@@ -218,19 +195,6 @@ def sample_cone_walk(p: MotParams, rng=None, max_proposals=2_000_000,
         f"no quadrant-positive bridge in {max_proposals} proposals "
         f"(gamma={p.gamma}, steps={p.steps})"
     )
-
-
-def sample_walk_proposals(p: MotParams, count, rng=None,
-                          start=(0.0, 1.0), end=(0.0, 0.0)):
-    """Unconditioned bridges, drawn in full by pinning a free walk's endpoint.
-
-    The full-rejection oracle for :func:`sample_cone_walk`: keeping the
-    proposals that stay in the closed quadrant gives the same law without
-    the shift (for calibration and for rejected-walk tests).
-    """
-    if rng is None:
-        rng = np.random.default_rng(p.seed)
-    return _bridge_batch(p, count, rng, start=start, end=end)
 
 
 def poisson_partition(t, epsilon, seed=None, rng=None) -> np.ndarray:

@@ -30,6 +30,8 @@ points of all darts on the frozen polylines in one array pass, solves one
 harmonic system assembled from integer node ids, measures the clearances
 of all cluster faces in one batch, and draws only the cluster faces.  The
 batched steps give the same floats as one face, dart or node at a time.
+The labels are drawn once per filling and geometry and kept on the filling,
+so a filling compared with many others is drawn once.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,9 +337,9 @@ def _polyline_points(poly, lens, frac):
 # --- subtemplate geometry and filling labels --------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class SubtemplateGeometry:
-    """Frozen embedding of a marked subtemplate.
+    """Frozen embedding of a marked subtemplate, equal only to itself.
 
     Everything a filling comparison may share is precomputed here: the
     face curves of the subtemplate's own faces (frozen point lists), the
@@ -549,7 +552,23 @@ def filling_curve(geom: SubtemplateGeometry, filling, to_tsub):
 
 def winding_label_values(geom: SubtemplateGeometry, filling):
     """theta at the subtemplate's hole-boundary root/terminal vertices:
-    cumulative total curvature at each visit, 0 at the start."""
+    cumulative total curvature at each visit, 0 at the start.
+
+    Drawn once per filling and geometry: the labels are kept on the filling
+    (not a field, so out of eq and repr), keyed weakly by the geometry's
+    identity, and each call returns a fresh dict.  A degenerate embedding
+    is not kept, so it raises again on every call.
+    """
+    memo = filling.__dict__.get("_winding_labels")
+    if memo is None:
+        memo = weakref.WeakKeyDictionary()
+        object.__setattr__(filling, "_winding_labels", memo)
+    if geom not in memo:
+        memo[geom] = _label_values(geom, filling)
+    return dict(memo[geom])
+
+
+def _label_values(geom: SubtemplateGeometry, filling):
     to_tsub = filling.vertex_to_tsub(geom.tsub)
     points, visits = filling_curve(geom, filling, to_tsub)
     curve = PolygonalCurve(vertices=tuple(map(tuple, points)))

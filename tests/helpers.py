@@ -1,5 +1,7 @@
 """Small fixtures and oracles that only the tests read."""
 
+import numpy as np
+
 from quiltlab import fields as fl
 from quiltlab import planar_map as pm
 
@@ -32,3 +34,33 @@ def catalan(n: int) -> int:
     for i in range(n):
         c = c * 2 * (2 * i + 1) // (i + 2)
     return c
+
+
+def step_chol(p):
+    """Cholesky factor of the per-step increment covariance Sigma dt of the
+    ``MotParams`` ``p``: the oracle's generator, written apart from
+    ``mating._increment_mix``."""
+    dt = p.duration / p.steps
+    cov = p.variance * dt * np.array(
+        [[1.0, p.correlation], [p.correlation, 1.0]]
+    )
+    return np.linalg.cholesky(cov)
+
+
+def sample_walk_proposals(p, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
+    """Unconditioned bridges from start to end, drawn in full by pinning a
+    free walk's endpoint: shape (count, steps+1, 2).
+
+    The full-rejection oracle for ``mating.sample_cone_walk``: keeping the
+    proposals that stay in the closed quadrant gives the same law without
+    the shift.
+    """
+    n = p.steps
+    incs = rng.standard_normal((count, n, 2)) @ step_chol(p).T
+    paths = np.zeros((count, n + 1, 2))
+    paths[:, 1:, :] = np.cumsum(incs, axis=1)
+    paths += np.asarray(start, dtype=float)
+    drift = paths[:, -1, :] - np.asarray(end, dtype=float)
+    frac = (np.arange(n + 1) / n)[None, :, None]
+    paths -= frac * drift[:, None, :]  # exact endpoint pinning
+    return paths

@@ -19,6 +19,7 @@ from quiltlab import quilt_enum as qe
 from quiltlab import quilt_winding as qw
 
 from conftest import MASTER_SEED, build_subtemplate
+from helpers import sample_walk_proposals
 
 
 def report(number, name, passed, detail=""):
@@ -75,7 +76,7 @@ def test_criterion_06_winding_labels():
 def test_criterion_07_mating_pipeline():
     # cone containment <=> constraints, on accepted and rejected proposals
     probe = mt.mot_params(1.8, 0.25, 32, MASTER_SEED)
-    paths = mt.sample_walk_proposals(probe, 4000, rng=np.random.default_rng(MASTER_SEED))
+    paths = sample_walk_proposals(probe, 4000, rng=np.random.default_rng(MASTER_SEED))
     times = np.linspace(0, 1, probe.steps + 1)
     cuts = [8, 16, 24]
     # an in-cone walk gets its sub-grid minima (no new cut times), so that

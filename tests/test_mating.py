@@ -19,6 +19,8 @@ from quiltlab.errors import (
     RejectionBudgetExceeded,
 )
 
+from helpers import sample_walk_proposals, step_chol
+
 
 def test_params_sqrt2():
     p = mt.mot_params(math.sqrt(2), 0.1, 64, 1)
@@ -108,7 +110,7 @@ def test_exactly_one_cyclic_shift_is_nonnegative(gamma, steps):
     # the cycle lemma on free bridges from the oracle: of the n cyclic shifts
     # s[(c + j) mod n] - s[c], exactly one stays >= 0, the one at the argmin
     p = mt.mot_params(gamma, 0.25, steps, 0)
-    s = mt.sample_walk_proposals(p, 2000, rng=np.random.default_rng(steps))[:, :, 0]
+    s = sample_walk_proposals(p, 2000, rng=np.random.default_rng(steps))[:, :, 0]
     j = np.arange(steps + 1)
     good = np.array([(s[:, (c + j) % steps] - s[:, [c]]).min(axis=1) >= 0.0
                      for c in range(steps)])
@@ -136,7 +138,7 @@ def _oracle_stats(seed, gamma, steps):
     rng = np.random.default_rng([seed, steps, 0])
     kept, total = [], 0
     while total < LAW_WALKS:
-        paths = mt.sample_walk_proposals(p, 10_000, rng=rng)
+        paths = sample_walk_proposals(p, 10_000, rng=rng)
         paths = paths[paths.reshape(len(paths), -1).min(axis=1) >= 0.0]
         kept.append(paths)
         total += len(paths)
@@ -252,7 +254,7 @@ def test_increment_mix_is_the_oracle_step_cholesky(gamma, steps):
     # the sampler's mix of unit increments is the oracle's Cholesky factor
     p = mt.mot_params(gamma, 0.25, steps, 0)
     mix = np.array(mt._increment_mix(p, np.array([1.0, 0.0]), np.array([0.0, 1.0])))
-    assert np.allclose(mix, mt._step_chol(p), rtol=1e-12, atol=0.0)
+    assert np.allclose(mix, step_chol(p), rtol=1e-12, atol=0.0)
 
 
 def _planted_mix(drop_rho, sd_scale):
@@ -395,7 +397,7 @@ def test_conservation_over_simulations():
 def test_cone_containment_iff_sn2(rng):
     # both directions, on accepted and rejected proposals
     p = mt.mot_params(1.8, 0.25, 32, 9)
-    paths = mt.sample_walk_proposals(p, 4000, rng=rng)
+    paths = sample_walk_proposals(p, 4000, rng=rng)
     times = np.linspace(0, 1, p.steps + 1)
     checked_in = checked_out = 0
     for k in range(paths.shape[0]):
@@ -439,7 +441,7 @@ def test_cell_lengths_equal_slice_oracle(rng):
     for _ in range(300):
         n = int(rng.integers(2, 80))
         p = mt.mot_params(float(rng.uniform(0.2, 1.9)), 0.2, n, 0)
-        path = mt.sample_walk_proposals(p, 1, rng=rng)[0]
+        path = sample_walk_proposals(p, 1, rng=rng)[0]
         walk = mt.ConeWalk(times=np.linspace(0, 1, n + 1), L=path[:, 0], R=path[:, 1])
         inner = np.arange(1, n)
         size = int(rng.integers(1, n))
@@ -540,8 +542,8 @@ def test_exchange_symmetry_at_sqrt2(rng):
     # of an independently sampled swapped-pinning ensemble ((1,0) to (0,0));
     # the raw L and R marginals differ by the endpoint pinning alone
     p = mt.mot_params(math.sqrt(2), 0.2, 16, 17)
-    a = mt.sample_walk_proposals(p, 30_000, rng=rng)
-    b = mt.sample_walk_proposals(p, 30_000, rng=rng, start=(1.0, 0.0))
+    a = sample_walk_proposals(p, 30_000, rng=rng)
+    b = sample_walk_proposals(p, 30_000, rng=rng, start=(1.0, 0.0))
     keep_a = (a.min(axis=1) >= 0.0).all(axis=1)
     keep_b = (b.min(axis=1) >= 0.0).all(axis=1)
     assert keep_a.sum() > 200 and keep_b.sum() > 200

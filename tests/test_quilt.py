@@ -29,7 +29,7 @@ from quiltlab.errors import (
     WrongGonProfile,
 )
 
-from conftest import build_subtemplate, build_template
+from conftest import MASTER_SEED, build_subtemplate, build_template
 
 
 @pytest.fixture(scope="module")
@@ -672,30 +672,29 @@ def test_direct_single_hole_enumeration_matches_projection(chain3_sub):
         ref.template, set(ref.marked) | set(ref.clusters[1])
     )
     direct = qe.enumerate_fillings(t_sub_one, (budgets[0],))
+    ref_red = qt.mark_subtemplate(ref.template, ref.marked | set(ref.clusters[1]))
+    ref_iso = qt.template_iso(t_sub_one.template, ref_red.template)
     direct_keys = set()
     for g in direct:
         red = qt.mark_subtemplate(g.template, g.marked)
         iso = qt.template_iso(red.template, t_sub_one.template)
         assert iso is not None
         # re-holify the reference clusters to get the projection object
-        tsub_faces = set()
-        for d in range(chain3_sub.template.map.n_darts):
-            pass
         proj = qt.mark_subtemplate(
-            g.template, _tsub_faces_in(g, t_sub_one, ref) | set(g.clusters[0])
+            g.template,
+            _tsub_faces_in(g, t_sub_one, ref, ref_red, ref_iso) | set(g.clusters[0]),
         )
         direct_keys.add(qt.template_key(proj.template))
     assert direct_keys == proj_keys
 
 
-def _tsub_faces_in(g, t_sub_one, ref):
+def _tsub_faces_in(g, t_sub_one, ref, ref_red, ref_iso):
     """Faces of g's template that correspond to the original subtemplate
-    faces (not the reference filling's frozen cluster)."""
+    faces (not the reference filling's frozen cluster); ``ref_red`` is the
+    reference reduced onto ``t_sub_one`` and ``ref_iso`` its dart map."""
     red = qt.mark_subtemplate(g.template, g.marked)
     iso = qt.template_iso(t_sub_one.template, red.template)
     out = set()
-    ref_red = qt.mark_subtemplate(ref.template, ref.marked | set(ref.clusters[1]))
-    ref_iso = qt.template_iso(t_sub_one.template, ref_red.template)
     for d in range(t_sub_one.template.map.n_darts):
         # a face of t_sub_one is original iff its counterpart in the
         # reference is one of the reference's own marked faces
@@ -740,6 +739,93 @@ def test_deep_fixture_labels_agree_or_degenerate(chain3_sub):
             continue
         assert rep.max_difference < 1e-6
     assert degenerate < 30
+
+
+def test_winding_labels_equal_across_separately_built_geometries(wide_sub):
+    # the labels are kept per geometry, so two geometries compute them twice
+    fill = qe.enumerate_fillings(wide_sub, 2)[0]
+    values = [repr(sorted(qw.winding_label_values(qw.embed_subtemplate(wide_sub), fill).items()))
+              for _ in range(2)]
+    assert values[0] == values[1]
+
+
+# --- winding labels kept on the filling --------------------------------------------
+
+
+def _criterion6_pass(name):
+    """Criterion 6's pass over one fixture: its budget-2 fillings, the
+    geometry, and the sampled pairs after labelling each pair once."""
+    tsub = build_subtemplate(*FIXTURES[name])
+    fills = qe.enumerate_fillings(tsub, 2)
+    geom = qw.embed_subtemplate(tsub)
+    pairs = random.Random(MASTER_SEED).sample(
+        list(itertools.combinations(range(len(fills)), 2)), 60)
+    for i, j in pairs:
+        qw.winding_labels(tsub, fills[i], fills[j], geom=geom)
+    return tsub, fills, geom, pairs
+
+
+def _hex_labels(labels):
+    return {v: float(x).hex() for v, x in labels.items()}
+
+
+@pytest.mark.parametrize("name", ["wide", "two-pass"])
+def test_winding_labels_after_a_pass_equal_a_fresh_geometry(name):
+    tsub, fills, geom, _ = _criterion6_pass(name)
+    fresh = qw.embed_subtemplate(tsub)
+    for f in fills:
+        assert (_hex_labels(qw.winding_label_values(geom, f))
+                == _hex_labels(qw.winding_label_values(fresh, f)))
+
+
+@pytest.mark.parametrize("name", ["wide", "two-pass"])
+def test_winding_pass_draws_each_filling_once(name, monkeypatch):
+    drawn = []
+    filling_curve = qw.filling_curve
+
+    def record(geom, filling, to_tsub):
+        drawn.append(filling)
+        return filling_curve(geom, filling, to_tsub)
+
+    monkeypatch.setattr(qw, "filling_curve", record)
+    _, fills, _, pairs = _criterion6_pass(name)
+    assert len(drawn) == len({id(f) for f in drawn})
+    assert len(drawn) == len({i for pair in pairs for i in pair})
+
+
+def test_winding_label_values_returns_a_fresh_dict(wide_sub):
+    fill = qe.enumerate_fillings(wide_sub, 2)[0]
+    geom = qw.embed_subtemplate(wide_sub)
+    labels = qw.winding_label_values(geom, fill)
+    expected = dict(labels)
+    labels.clear()
+    assert qw.winding_label_values(geom, fill) == expected
+
+
+def test_winding_labels_kept_per_geometry_object(wide_sub):
+    fill = qe.enumerate_fillings(wide_sub, 2)[0]
+    geom = qw.embed_subtemplate(wide_sub)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotated = dataclasses.replace(geom, depart_dir={
+        f: np.array([c * x - s * y, s * x + c * y]) for f, (x, y) in geom.depart_dir.items()})
+    first = qw.winding_label_values(geom, fill)
+    assert qw.winding_label_values(rotated, fill) != first
+    assert qw.winding_label_values(geom, fill) == first
+
+
+def test_winding_labels_hold_neither_filling_nor_geometry(wide_sub):
+    gc.disable()
+    try:
+        fills = qe.enumerate_fillings(wide_sub, 2)
+        geom = qw.embed_subtemplate(wide_sub)
+        qw.winding_labels(wide_sub, fills[0], fills[1], geom=geom)
+        kept, drawn = weakref.ref(geom), weakref.ref(fills[0])
+        del geom
+        assert kept() is None
+        del fills
+        assert drawn() is None
+    finally:
+        gc.enable()
 
 
 # sha256 of repr((labels, frozen)): the sorted winding_label_values of every
