@@ -14,6 +14,10 @@ counts); in the latter case lengths are absent.
 Face cycles are stored as lists of ``(tail_vertex, edge_id)`` entries (the
 face keeps left of travel); edge ids stay unique across splits, which keeps
 parallel edges (the two boundary arcs of the base map) unambiguous.
+:meth:`Builder.build` turns the cycles into the map's arrays directly:
+edges numbered by first occurrence, an edge's two sides at darts 2k and
+2k+1, and the face-successor array handed to ``planar_map._finish``, as
+``planar_map.from_face_edge_cycles`` numbers them, without its dicts.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 
 from . import planar_map as pm
-from .errors import ConstraintViolated, LengthCollision, TemplateError
+from .errors import ConstraintViolated, LengthCollision, MapError, TemplateError
 from .quilt import Quilt, Template, conserved, validate_template
 
 EXT = -1  # sentinel face index for the outer 1-gon
@@ -205,38 +209,65 @@ class Builder:
 
         Returns (template, seq_to_face_id, lengths or None); ``seq_to_face_id``
         maps EXT and construction indices to face ids of the final map.
+
+        The edges are numbered by first occurrence over the cycles (F_ext,
+        F_0, ..., F_last), and the dart of an edge's first side is 2k, of
+        its second 2k+1; the face-successor array goes straight to
+        ``planar_map._finish``.  Each edge must occur exactly twice, with
+        its endpoints reversed, or MapError is raised.
         """
         n = len(self.ring)
-        ext_cycle = [(self.ring[(i + 1) % n][0], self.ring[i][1])
-                     for i in reversed(range(n))]
-        all_cycles = [ext_cycle] + self.cycles
-        hmap, dart_of = pm.from_face_edge_cycles(all_cycles, root_key=ext_cycle[0])
+        ext = [(self.ring[(i + 1) % n][0], self.ring[i][1]) for i in reversed(range(n))]
+        cycles = [ext] + self.cycles
+        seen = [0] * self.ne          # Builder edge id -> sides met so far
+        first = [0] * self.ne         # Builder edge id -> dart of its first side
+        edges = []                    # map edge k -> Builder edge id
+        dart_cycles = []
+        for cyc in cycles:
+            darts = []
+            for _tail, e in cyc:
+                c = seen[e]
+                if not c:
+                    first[e] = 2 * len(edges)
+                    edges.append(e)
+                seen[e] = c + 1
+                darts.append(first[e] + c)
+            dart_cycles.append(darts)
+        for e in edges:
+            if seen[e] != 2:
+                raise MapError(f"edge {e!r} occurs {seen[e]} times, expected 2")
+        n_darts = 2 * len(edges)
+        face_next = [0] * n_darts
+        tail = [0] * n_darts
+        for cyc, darts in zip(cycles, dart_cycles):
+            prev = darts[-1]
+            for (v, _e), d in zip(cyc, darts):
+                face_next[prev] = d
+                tail[d] = v
+                prev = d
+        for k, e in enumerate(edges):
+            a, b = tail[2 * k], tail[2 * k + 1]
+            if a == b:
+                raise MapError(f"edge {e!r} is a loop or doubly-traversed")
+            if a != tail[face_next[2 * k + 1]] or tail[face_next[2 * k]] != b:
+                raise MapError(f"edge {e!r} endpoints disagree between its two sides")
+        hmap = pm._finish(tuple([face_next[d ^ 1] for d in range(n_darts)]), 0)
 
-        def face_id(cycle):
-            return hmap.face_of[dart_of[cycle[0]]]
-
-        seq_to_face = {EXT: face_id(ext_cycle)}
-        for i, cyc in enumerate(self.cycles):
-            seq_to_face[i] = face_id(cyc)
-
-        vmap = {}
-        for (tail, _e), d in dart_of.items():
-            vmap.setdefault(tail, hmap.vertex_of[d])
-
-        marks = {seq_to_face[EXT]: (vmap[0],)}
-        for i, mk in enumerate(self.marks):
-            marks[seq_to_face[i]] = tuple(vmap[x] for x in mk)
-        order = [seq_to_face[EXT]] + [seq_to_face[i] for i in range(len(self.cycles))]
-        template = Template(
-            map=hmap, marks=marks, holes=frozenset(), face_order=tuple(order)
-        )
-
+        face_of, vertex_of = hmap.face_of, hmap.vertex_of
+        # tuples of lists, not of generators: a generator's tuple is resized
+        # around the free list but joins it when freed, and held memory grows
+        order = tuple([face_of[darts[0]] for darts in dart_cycles])
+        seq_to_face = dict(zip([EXT, *range(len(self.cycles))], order))
+        vmap = [0] * self.nv  # Builder vertex -> map vertex of its smallest dart
+        for d in range(n_darts - 1, -1, -1):
+            vmap[tail[d]] = vertex_of[d]
+        marks = {order[0]: (vmap[0],)}
+        for f, mk in zip(order[1:], self.marks):
+            marks[f] = tuple([vmap[x] for x in mk])
+        template = Template(map=hmap, marks=marks, holes=frozenset(), face_order=order)
         lengths = None
         if self.edge_len is not None:
-            lengths = [0.0] * hmap.n_edges
-            for (tail, e), d in dart_of.items():
-                lengths[d >> 1] = self.edge_len[e]
-            lengths = tuple(lengths)
+            lengths = tuple([self.edge_len[e] for e in edges])
         return template, seq_to_face, lengths
 
 

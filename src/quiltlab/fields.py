@@ -327,22 +327,88 @@ def random_orthogonal(n: int, rng) -> np.ndarray:
 
 # --- exact determinants and the matrix-tree theorem ---------------------------------
 
-def bareiss_determinant(matrix) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination.
-
-    A row whose entry in the pivot column is 0 is skipped while the pivot
-    equals the previous one, since the update would leave it unchanged; in
-    that case the other rows are updated only in the pivot row's nonzero
-    columns.  On sparse matrices such as the side-length maps most rows and
-    columns are skipped, and the answer is the one the dense loop gives.
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise FieldsError("matrix must be square")
-    if n == 0:
-        return 1
+def _parity(perm):
+    """+1 or -1, the sign of the permutation ``perm`` of 0..len-1."""
+    seen = [False] * len(perm)
     sign = 1
+    for s in range(len(perm)):
+        k = s
+        while not seen[k]:
+            seen[k] = True
+            k = perm[k]
+            if k != s:
+                sign = -sign
+    return sign
+
+
+def _expand_unit_lines(m):
+    """Cofactor expansion of the square matrix ``m`` along its unit lines:
+    (factor, core rows, core columns) with det m = factor * det of the core,
+    the submatrix left in its original order.
+
+    While some row or column has exactly one nonzero entry, det m is that
+    entry times the determinant without its row and column.  With the
+    expanded pairs first and the core after them, the sign is the parity
+    of the row order times that of the column order.  A row or column with
+    no nonzero entry left gives factor 0.
+    """
+    n = len(m)
+    row_nz = [set(itertools.compress(range(n), row)) for row in m]
+    col_nz = [set() for _ in range(n)]
+    for i, nz in enumerate(row_nz):
+        for j in nz:
+            col_nz[j].add(i)
+    # a line is (0, row) or (1, column); an expanded line's set becomes None
+    lines = (row_nz, col_nz)
+    todo = [(axis, i) for axis in (0, 1) for i in range(n) if len(lines[axis][i]) <= 1]
+    factor = 1
+    order_r, order_c = [], []
+    while todo:
+        axis, i = todo.pop()
+        nz = lines[axis][i]
+        if nz is None:
+            continue
+        if not nz:
+            return 0, [], []
+        (j,) = nz
+        r, c = (i, j) if axis == 0 else (j, i)
+        factor *= int(m[r][c])
+        order_r.append(r)
+        order_c.append(c)
+        along, across = lines[axis], lines[1 - axis]
+        for k in across[j]:
+            if k != i:
+                along[k].discard(j)
+                if len(along[k]) <= 1:
+                    todo.append((axis, k))
+        along[i] = across[j] = None
+    core_r = [i for i in range(n) if row_nz[i] is not None]
+    core_c = [j for j in range(n) if col_nz[j] is not None]
+    factor *= _parity(order_r + core_r) * _parity(order_c + core_c)
+    return factor, core_r, core_c
+
+
+def bareiss_determinant(matrix) -> int:
+    """Exact integer determinant: cofactor expansion along the rows and
+    columns with one nonzero entry (:func:`_expand_unit_lines`), then
+    fraction-free elimination (E. H. Bareiss, Math. Comp. 22, 1968) of the
+    core that expansion leaves.  On the side-length maps it leaves none.
+
+    In the elimination, a row whose entry in the pivot column is 0 is
+    skipped while the pivot equals the previous one, since the update would
+    leave it unchanged; in that case the other rows are updated only in the
+    pivot row's nonzero columns.  The answer is the one the dense loop
+    gives on the whole matrix.
+    """
+    m = list(matrix)
+    if any(len(row) != len(m) for row in m):
+        raise FieldsError("matrix must be square")
+    factor, core_r, core_c = _expand_unit_lines(m)
+    if not core_r or not factor:
+        return factor
+    a = [[int(m[r][c]) for c in core_c] for r in core_r]
+    n = len(a)
+    sign = factor  # the row swaps below flip it
     prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:

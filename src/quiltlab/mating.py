@@ -215,7 +215,7 @@ def poisson_partition(t, epsilon, seed=None, rng=None) -> np.ndarray:
     return np.diff(knots)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CellLengths:
     """Per-cell boundary lengths of the discretized disk.
 
@@ -223,7 +223,8 @@ class CellLengths:
     quadruple (l-, l+, r-, r+); the final cell's lengths are the conserved
     quantities (l_end-, r_end-).  Boundary-cell conventions l0- = 0 and
     l_end+ = r_end+ = 0 are stored as observed deficits: they vanish exactly
-    when the walk stays in the quadrant on the first and last parts.
+    when the walk stays in the quadrant on the first and last parts.  The
+    lengths are fixed once made, so the cone margins are worked out once.
     """
 
     l0_plus: float
@@ -249,19 +250,14 @@ class CellLengths:
         return max(abs(l - self.l_end_minus), abs(r - self.r_end_minus))
 
     def sn2_margins(self):
-        """The 2n+1 strict cone sums (positive iff the constraints hold)."""
-        lm = self.interior[:, 0]
-        lp = self.interior[:, 1]
-        rm = self.interior[:, 2]
-        rp = self.interior[:, 3]
-        run_l = self.l0_plus + np.concatenate(([0.0], np.cumsum(lp - lm)[:-1]))
-        margins = list(run_l - lm)
-        run_r = 1.0 + np.concatenate(
-            ([0.0], np.cumsum(np.concatenate(([self.r0_plus - self.r0_minus], rp - rm)))[:-1])
-        )
-        margins.append(1.0 - self.r0_minus)
-        margins.extend(run_r[1:] - rm)
-        return np.array(margins)
+        """The 2n+1 strict cone sums (positive iff the constraints hold), as
+        a read-only array kept on the object: not a field, so out of eq and
+        repr."""
+        if "_margins" not in self.__dict__:
+            margins = _cone_margins(self)
+            margins.flags.writeable = False
+            object.__setattr__(self, "_margins", margins)
+        return self._margins
 
     def sn2_satisfied(self):
         """Cone constraints plus the boundary-cell zero conventions.
@@ -281,6 +277,22 @@ class CellLengths:
         if self.interior.size:
             vals.append(float(self.interior.min()))
         return min(vals) <= 0.0 or float(self.sn2_margins().min()) <= 0.0
+
+
+def _cone_margins(cells: CellLengths):
+    """The strict cone sums of :meth:`CellLengths.sn2_margins`."""
+    lm = cells.interior[:, 0]
+    lp = cells.interior[:, 1]
+    rm = cells.interior[:, 2]
+    rp = cells.interior[:, 3]
+    run_l = cells.l0_plus + np.concatenate(([0.0], np.cumsum(lp - lm)[:-1]))
+    margins = list(run_l - lm)
+    run_r = 1.0 + np.concatenate(
+        ([0.0], np.cumsum(np.concatenate(([cells.r0_plus - cells.r0_minus], rp - rm)))[:-1])
+    )
+    margins.append(1.0 - cells.r0_minus)
+    margins.extend(run_r[1:] - rm)
+    return np.array(margins)
 
 
 def _log_survival(c, x):
@@ -373,20 +385,28 @@ def refine_walk(walk: ConeWalk, cuts, variance, rng):
     of the refined walk.  Returns (refined walk, index of each cut in it).
     """
     times = np.asarray(walk.times, dtype=float)
-    cuts = np.unique(np.asarray(cuts, dtype=float))
+    cuts = np.asarray(cuts, dtype=float)
+    if not (cuts[1:] > cuts[:-1]).all():
+        cuts = np.unique(cuts)
     if cuts.size and not (0.0 < cuts[0] and cuts[-1] < times[-1]):
         raise PartitionMismatch("cut times must lie strictly inside the walk")
     grid = np.column_stack((walk.L, walk.R)).astype(float)
     if not grid.min() >= 0.0:
         raise MatingError("refine_walk needs a walk in the closed quadrant")
-    t = np.union1d(times, cuts)
-    at_grid = np.searchsorted(t, times)
+    # merge the sorted cuts into the grid: a cut at a grid time is that point
+    pos = np.searchsorted(times, cuts)  # first grid time >= each cut
+    off = times[pos] != cuts
+    new = cuts[off]
+    at_cut = pos + (np.cumsum(off) - off)  # index of each cut in t
+    at_new = at_cut[off]
+    at_grid = np.arange(times.size) + np.searchsorted(new, times)
+    t = np.empty(times.size + new.size)
+    t[at_grid] = times
+    t[at_new] = new
     vals = np.empty((t.size, 2))
     vals[at_grid] = grid
-    new = np.setdiff1d(cuts, times, assume_unique=True)
     if new.size:
-        at_new = np.searchsorted(t, new)
-        step = np.searchsorted(times, new) - 1  # the grid step holding each cut
+        step = pos[off] - 1  # the grid step holding each cut
         right = at_grid[step + 1]
         rank = at_new - at_grid[step] - 1  # earlier cuts in the same step
         for r in range(int(rank.max()) + 1):
@@ -399,7 +419,7 @@ def refine_walk(walk: ConeWalk, cuts, variance, rng):
     refined = ConeWalk(times=t, L=vals[:, 0].copy(), R=vals[:, 1].copy(),
                        rejections=walk.rejections,
                        L_min=low[:, 0].copy(), R_min=low[:, 1].copy())
-    return refined, np.searchsorted(t, cuts)
+    return refined, at_cut
 
 
 def cell_lengths_at(walk: ConeWalk, cut_indices) -> CellLengths:

@@ -64,3 +64,53 @@ def sample_walk_proposals(p, count, rng, start=(0.0, 1.0), end=(0.0, 0.0)):
     frac = (np.arange(n + 1) / n)[None, :, None]
     paths -= frac * drift[:, None, :]  # exact endpoint pinning
     return paths
+
+
+def build_through_cycles(b):
+    """``Builder.build`` as it was written through
+    ``planar_map.from_face_edge_cycles``: the oracle of the array-form build.
+    Returns (template, seq_to_face, lengths or None)."""
+    from quiltlab._builder import EXT
+    from quiltlab.quilt import Template
+
+    n = len(b.ring)
+    ext_cycle = [(b.ring[(i + 1) % n][0], b.ring[i][1]) for i in reversed(range(n))]
+    all_cycles = [ext_cycle] + b.cycles
+    hmap, dart_of = pm.from_face_edge_cycles(all_cycles, root_key=ext_cycle[0])
+
+    def face_id(cycle):
+        return hmap.face_of[dart_of[cycle[0]]]
+
+    seq_to_face = {EXT: face_id(ext_cycle)}
+    for i, cyc in enumerate(b.cycles):
+        seq_to_face[i] = face_id(cyc)
+    vmap = {}
+    for (tail, _e), d in dart_of.items():
+        vmap.setdefault(tail, hmap.vertex_of[d])
+    marks = {seq_to_face[EXT]: (vmap[0],)}
+    for i, mk in enumerate(b.marks):
+        marks[seq_to_face[i]] = tuple(vmap[x] for x in mk)
+    order = [seq_to_face[EXT]] + [seq_to_face[i] for i in range(len(b.cycles))]
+    template = Template(map=hmap, marks=marks, holes=frozenset(), face_order=tuple(order))
+    lengths = None
+    if b.edge_len is not None:
+        lengths = [0.0] * hmap.n_edges
+        for (tail, e), d in dart_of.items():
+            lengths[d >> 1] = b.edge_len[e]
+        lengths = tuple(lengths)
+    return template, seq_to_face, lengths
+
+
+def n2_builders():
+    """Closed Builders of the 10 templates with two 4-gons, in move order."""
+    from quiltlab._builder import Builder
+
+    for t1, s1 in ((1, 1), (1, 2)):
+        base = Builder()
+        base.add_face(t=t1, s=s1)
+        for t2 in range(1, len(base.left) + 1):
+            for s2 in range(1, len(base.right) + 1):
+                b = base.clone()
+                b.add_face(t=t2, s=s2)
+                b.close()
+                yield b

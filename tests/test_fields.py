@@ -16,7 +16,7 @@ from quiltlab.errors import (
     NotOrthogonal,
 )
 
-from helpers import star_graph_with_boundary
+from helpers import n2_builders, star_graph_with_boundary
 
 
 def test_c_sle_values():
@@ -353,6 +353,82 @@ def test_bareiss_matches_dense_oracle_on_quilt_side_length_maps(monkeypatch):
     assert len(matrices) == 1000
     for m in matrices:
         assert fl.bareiss_determinant(m) == _dense_bareiss(m)
+
+
+NONZERO = (-3, -2, -1, 1, 2, 3)
+
+
+def _planted_unit_lines(rng, k, pairs):
+    """A random integer matrix whose expansion along unit lines stops at a
+    dense k x k core, after ``pairs`` planted unit rows and columns of signed
+    values; its rows and columns are then permuted at random.
+
+    In planted order, pair t is a unit row (zeros right of (t, t)) or a
+    unit column (zeros below it) of the matrix left once pairs 0..t-1 are
+    expanded; every other entry is a random sparse value, and the core's
+    entries are all nonzero, so no core line is a unit line.
+    """
+    n = pairs + k
+    m = rng.integers(-3, 4, size=(n, n)) * (rng.random((n, n)) < 0.5)
+    for t in range(pairs):
+        if rng.random() < 0.5:
+            m[t, t + 1:] = 0
+        else:
+            m[t + 1:, t] = 0
+        m[t, t] = rng.choice(NONZERO)
+    m[pairs:, pairs:] = rng.choice(NONZERO, size=(k, k))
+    return m[rng.permutation(n)][:, rng.permutation(n)]
+
+
+def test_unit_line_expansion_matches_dense_oracle():
+    rng = np.random.default_rng(23)
+    negative = 0
+    for _ in range(1500):
+        k, pairs = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+        m = _planted_unit_lines(rng, k, pairs)
+        rows = m.tolist()
+        factor, core_r, core_c = fl._expand_unit_lines(rows)
+        assert len(core_r) == len(core_c) == k
+        want = _dense_bareiss(rows)
+        assert factor * _dense_bareiss([[rows[r][c] for c in core_c] for r in core_r]) == want
+        assert fl.bareiss_determinant(rows) == want == round(np.linalg.det(m))
+        negative += want < 0
+    assert negative > 300
+
+
+def test_unit_line_expansion_finds_zero_lines():
+    rng = np.random.default_rng(29)
+    for i in range(400):
+        m = _planted_unit_lines(rng, int(rng.integers(2, 5)), int(rng.integers(1, 7)))
+        line = int(rng.integers(len(m)))
+        if i % 2:
+            m[line, :] = 0
+        else:
+            m[:, line] = 0
+        rows = m.tolist()
+        assert fl._expand_unit_lines(rows)[0] == 0
+        assert fl.bareiss_determinant(rows) == _dense_bareiss(rows) == 0
+
+
+def test_unit_line_expansion_empties_side_length_maps(monkeypatch):
+    matrices = []
+    exact = qt.bareiss_determinant
+
+    def recorded(matrix):
+        matrices.append(matrix)
+        return exact(matrix)
+
+    monkeypatch.setattr(qt, "bareiss_determinant", recorded)
+    for b in n2_builders():
+        qt.side_length_map_determinant(b.build()[0])
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 13)
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        qt.side_length_map_determinant(mt.simulate_discretized_disk(p, rng=rng).quilt.template)
+    assert len(matrices) == 210
+    for m in matrices:
+        factor, core_r, core_c = fl._expand_unit_lines(m)
+        assert abs(factor) == 1 and core_r == core_c == []
 
 
 # --- Gaussian partition identity ------------------------------------------------------

@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from quiltlab.errors import (
     RejectionBudgetExceeded,
 )
 
-from helpers import sample_walk_proposals, step_chol
+from helpers import n2_builders, sample_walk_proposals, step_chol
 
 
 def test_params_sqrt2():
@@ -459,6 +461,66 @@ def test_cell_lengths_equal_slice_oracle(rng):
     assert cases == 1800
 
 
+def _loop_margins(cells):
+    """The strict cone sums, one running sum at a time, added in the order
+    of ``CellLengths.sn2_margins``: its oracle."""
+    rows = [[float(x) for x in row] for row in cells.interior]
+    out, run = [], 0.0
+    for lm, lp, _, _ in rows:
+        out.append((cells.l0_plus + run) - lm)
+        run += lp - lm
+    out.append(1.0 - cells.r0_minus)
+    run = cells.r0_plus - cells.r0_minus
+    for _, _, rm, rp in rows:
+        out.append((1.0 + run) - rm)
+        run += rp - rm
+    return np.array(out)
+
+
+def test_cone_margins_kept_match_the_slice_oracle(rng):
+    # the kept margins and their booleans, against the slice oracle's cells
+    # and a one-sum-at-a-time recomputation, on walks in and out of the cone
+    p = mt.mot_params(1.8, 0.25, 32, 9)
+    paths = sample_walk_proposals(p, 600, rng=rng)
+    times = np.linspace(0, 1, p.steps + 1)
+    both = 0
+    for k in range(paths.shape[0]):
+        walk = mt.ConeWalk(times=times, L=paths[k, :, 0], R=paths[k, :, 1])
+        cuts = np.sort(rng.choice(np.arange(1, p.steps), size=int(rng.integers(1, 9)),
+                                  replace=False))
+        got, want = mt.cell_lengths_at(walk, cuts), _slice_cell_lengths(walk, cuts)
+        assert np.array_equal(got.sn2_margins(), _loop_margins(want))
+        for cells in (got, want):
+            deficits = (cells.first_l_deficit, cells.last_l_deficit, cells.last_r_deficit)
+            inside = (_loop_margins(cells) > 0).all() and max(deficits) <= 0.0
+            assert cells.sn2_satisfied() == inside
+        assert got.sn2_satisfied() == want.sn2_satisfied()
+        assert got.degenerate() == want.degenerate()
+        both += got.sn2_satisfied()
+    assert 0 < both < 600
+
+
+def test_cone_margins_worked_out_once_per_quilt(monkeypatch):
+    calls = []
+    honest = mt._cone_margins
+
+    def counted(cells):
+        calls.append(cells)
+        return honest(cells)
+
+    monkeypatch.setattr(mt, "_cone_margins", counted)
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 3)
+    rng = np.random.default_rng(3)
+    for i in range(50):
+        res = mt.simulate_discretized_disk(p, rng=rng)
+        assert res.cells.sn2_satisfied() and not res.cells.degenerate()  # a caller's gate
+        assert len(calls) == i + 1 and calls[-1] is res.cells
+    margins = res.cells.sn2_margins()
+    assert margins is res.cells.sn2_margins() and not margins.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.cells.l0_plus = 0.0
+
+
 def test_build_quilt_minimal_reproduces_lengths():
     times = np.linspace(0, 1, 5)
     L = np.array([0.0, 0.4, 0.3, 0.5, 0.0])
@@ -503,6 +565,33 @@ def test_conservation_rule_is_one_comparison(monkeypatch, at_tolerance):
         with pytest.raises(ConstraintViolated, match="conservation"):
             build_quilt_from_cells(cells)
     assert vf.check_mating_pipeline(0)[0] is at_tolerance
+
+
+def test_refine_walk_merges_cuts_like_the_set_operations():
+    # sorted cuts take the searchsorted merge, others the np.unique fallback;
+    # both give the union of grid and cuts, and the same draws as the
+    # unique cuts
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 0)
+    rng = np.random.default_rng(8)
+    on_grid = 0
+    for i in range(300):
+        walk = mt.sample_cone_walk(p, rng=rng)
+        cuts = rng.uniform(0.0, 1.0, size=int(rng.integers(0, 12)))
+        if i % 3 == 0:
+            cuts = np.concatenate((cuts, rng.choice(walk.times[1:-1], 3)))
+        cuts = np.sort(cuts)
+        if i % 4 == 0:
+            cuts = np.concatenate((cuts, cuts[:2]))[::-1]
+        unique = np.unique(cuts)
+        on_grid += np.isin(unique, walk.times).sum()
+        seed = int(rng.integers(2**32))
+        got, idx = mt.refine_walk(walk, cuts, p.variance, np.random.default_rng(seed))
+        assert np.array_equal(got.times, np.union1d(walk.times, unique))
+        assert np.array_equal(idx, np.searchsorted(got.times, unique))
+        again, _ = mt.refine_walk(walk, unique, p.variance, np.random.default_rng(seed))
+        for name in ("times", "L", "R", "L_min", "R_min"):
+            assert np.array_equal(getattr(got, name), getattr(again, name))
+    assert on_grid > 100
 
 
 def test_partition_mismatch():
@@ -733,3 +822,58 @@ def test_part_count_law_catches_short_cell_redraw(monkeypatch):
 
     monkeypatch.setattr(mt, "poisson_partition", redraw_short)
     assert _part_count_pvalue(0) <= PART_ALPHA
+
+
+# --- byte-identical quilts and determinants --------------------------------------------
+# Both digests were recorded before the array-form Builder and the singleton
+# expansion of the exact determinant; they pin what those may not change.
+
+DIGEST_QUILTS = 64  # per setting, from one default_rng(17) stream
+
+
+def _digest_quilts():
+    """DIGEST_QUILTS seeded quilts at each LAW_SETTINGS entry: epsilon 0.15 at
+    the criterion-7 grid (sqrt 2, 64), 0.25 elsewhere."""
+    rng = np.random.default_rng(17)
+    for gamma, steps in LAW_SETTINGS:
+        eps = 0.15 if (gamma, steps) == (math.sqrt(2), 64) else 0.25
+        p = mt.mot_params(gamma, eps, steps, 17)
+        for _ in range(DIGEST_QUILTS):
+            yield mt.simulate_discretized_disk(p, rng=rng).quilt
+
+
+DIGEST_FIXTURES = (
+    [], [(1, 1)], [(1, 2)], [(1, 1), (2, 1)], [(1, 1), (1, 2)], [(1, 2), (2, 2)],
+    [(1, 2), (2, 1), (1, 3), (2, 2)],
+    *(moves for moves, _ in vf.FIXTURES.values()),
+)
+QUILT_DIGEST = "66ff2842864da30d95620563cc917d8c1b731f42bb169e4043767104fa56b8a1"
+DETERMINANT_DIGEST = "9e6fb94361447ca3971d73e93aeb7d0a8fb2d47fff44c7f0332d2c34cb305434"
+N21 = pathlib.Path(__file__).parent / "data" / "template_n21.map"
+
+
+def test_seeded_quilts_byte_identical():
+    lines = []
+    for q in _digest_quilts():
+        t = q.template
+        lines.append(" ".join((
+            qt.template_key(t).hex(), repr(t.face_order), repr(sorted(t.marks.items())),
+            repr(q.lengths), repr(t.map.next_dart), str(t.map.root))))
+    assert len(lines) == 5 * DIGEST_QUILTS
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == QUILT_DIGEST
+
+
+def test_determinant_reports_byte_identical():
+    templates = [b.build()[0] for b in n2_builders()]
+    templates += [vf.fixture_template(m) for m in DIGEST_FIXTURES]
+    templates.append(qt.template_from_text(N21.read_text()))
+    templates += [q.template for q in _digest_quilts()]
+    lines = []
+    for t in templates:
+        rep = qt.side_length_map_determinant(t)
+        lines.append(" ".join(f"{f.name}={getattr(rep, f.name)!r}"
+                              for f in dataclasses.fields(rep)))
+    assert len(lines) == 10 + len(DIGEST_FIXTURES) + 1 + 5 * DIGEST_QUILTS
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == DETERMINANT_DIGEST

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quiltlab import curvature as cv
-
+from quiltlab import mating as mt
 from quiltlab import planar_map as pm
 from quiltlab import quilt as qt
 from quiltlab import quilt_enum as qe
@@ -23,6 +23,7 @@ from quiltlab.errors import (
     DisconnectedSelection,
     EmbeddingDegenerate,
     InvalidChoice,
+    MapError,
     MissingOrder,
     SingularMap,
     TemplateError,
@@ -30,6 +31,7 @@ from quiltlab.errors import (
 )
 
 from conftest import MASTER_SEED, build_subtemplate, build_template
+from helpers import build_through_cycles, n2_builders
 
 
 @pytest.fixture(scope="module")
@@ -136,20 +138,16 @@ def test_minimal_determinant_explicit(minimal):
 
 
 def test_determinant_all_n2_templates():
-    for t1, s1 in ((1, 1), (1, 2)):
-        base = Builder()
-        base.add_face(t=t1, s=s1)
-        for t2 in range(1, len(base.left) + 1):
-            for s2 in range(1, len(base.right) + 1):
-                b = base.clone()
-                b.add_face(t=t2, s=s2)
-                b.close()
-                t, _, _ = b.build()
-                rep = qt.side_length_map_determinant(t)
-                assert abs(rep.det) == 1
-                assert rep.left_tree_size == 2 * rep.n + 1
-                assert rep.bijection_ok and rep.triangular_ok
-                assert abs(abs(rep.det_float) - 1.0) < 1e-9
+    count = 0
+    for b in n2_builders():
+        t, _, _ = b.build()
+        rep = qt.side_length_map_determinant(t)
+        assert abs(rep.det) == 1
+        assert rep.left_tree_size == 2 * rep.n + 1
+        assert rep.bijection_ok and rep.triangular_ok
+        assert abs(abs(rep.det_float) - 1.0) < 1e-9
+        count += 1
+    assert count == 10
 
 
 def test_determinant_unit_on_wider_fixture():
@@ -239,6 +237,73 @@ def test_mark_positions_kept_from_validation(chain3):
     with pytest.raises(TemplateError, match="not in face-cycle order"):
         qt.Template(map=chain3.map, marks={**chain3.marks, f1: (a, c, b, d)},
                     holes=chain3.holes, face_order=chain3.face_order)
+
+
+# --- the array-form build -------------------------------------------------------------
+
+
+def _builds_agree(b, build):
+    """``build(b)`` equals the build through ``from_face_edge_cycles``: map,
+    marks (in order), face order, seq_to_face and lengths."""
+    got = build(b)
+    (t, seq, lengths), (t0, seq0, lengths0) = got, build_through_cycles(b)
+    assert t.map == t0.map and t.face_order == t0.face_order
+    assert list(t.marks.items()) == list(t0.marks.items())
+    assert list(seq.items()) == list(seq0.items())
+    assert lengths == lengths0 and repr(t) == repr(t0)
+    return got
+
+
+def test_array_build_matches_cycle_build(monkeypatch):
+    array_build = Builder.build
+    builders = list(n2_builders())
+    for moves, _ in FIXTURES.values():
+        b = Builder()
+        for t, s in moves:
+            b.add_face(t=t, s=s)
+        b.close()
+        builders.append(b)
+    for b in builders:
+        _builds_agree(b, array_build)
+    assert len(builders) == 13
+
+    chain = build_subtemplate([(1, 1)] * 3, (2, 4))
+    built = []
+
+    def checked(b):
+        built.append(b)
+        return _builds_agree(b, array_build)
+
+    monkeypatch.setattr(Builder, "build", checked)
+    assert len(qe.enumerate_fillings(chain, (2, 2))) == 50
+    assert len(built) == 50  # every leaf is a filling
+    p = mt.mot_params(math.sqrt(2), 0.15, 64, 11)
+    rng = np.random.default_rng(11)
+    for _ in range(1000):
+        assert mt.simulate_discretized_disk(p, rng=rng).quilt.lengths is not None
+    assert len(built) == 1050
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("once", "occurs 1 times, expected 2"),
+    ("thrice", "occurs 3 times, expected 2"),
+    ("endpoints", "endpoints disagree between its two sides"),
+])
+def test_array_build_refuses_corrupt_cycles(defect, message):
+    b = Builder()
+    b.add_face(t=1, s=1)
+    b.add_face(t=2, s=1)
+    b.close()
+    f1 = b.cycles[1]
+    if defect == "once":
+        del f1[0]
+    elif defect == "thrice":
+        b.cycles[-1].insert(0, f1[0])
+    else:
+        f1[0] = (b.nv, f1[0][1])  # a tail no other entry has
+    for build in (Builder.build, build_through_cycles):
+        with pytest.raises(MapError, match=message):
+            build(b)
 
 
 # --- subtemplates -------------------------------------------------------------------
