@@ -14,10 +14,9 @@ counts); in the latter case lengths are absent.
 Face cycles are stored as lists of ``(tail_vertex, edge_id)`` entries (the
 face keeps left of travel); edge ids stay unique across splits, which keeps
 parallel edges (the two boundary arcs of the base map) unambiguous.
-:meth:`Builder.build` turns the cycles into the map's arrays directly:
-edges numbered by first occurrence, an edge's two sides at darts 2k and
-2k+1, and the face-successor array handed to ``planar_map._finish``, as
-``planar_map.from_face_edge_cycles`` numbers them, without its dicts.
+:meth:`Builder.build` hands the cycles to
+``planar_map.from_face_edge_cycles``, the one constructor of a map from face
+cycles, and reads face ids, vertex ids and lengths off the darts it returns.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 import math
 
 from . import planar_map as pm
-from .errors import ConstraintViolated, LengthCollision, MapError, TemplateError
+from .errors import ConstraintViolated, LengthCollision, TemplateError
 from .quilt import Quilt, Template, conserved, validate_template
 
 EXT = -1  # sentinel face index for the outer 1-gon
@@ -208,50 +207,22 @@ class Builder:
         """Assemble the completed template (after close()).
 
         Returns (template, seq_to_face_id, lengths or None); ``seq_to_face_id``
-        maps EXT and construction indices to face ids of the final map.
-
-        The edges are numbered by first occurrence over the cycles (F_ext,
-        F_0, ..., F_last), and the dart of an edge's first side is 2k, of
-        its second 2k+1; the face-successor array goes straight to
-        ``planar_map._finish``.  Each edge must occur exactly twice, with
-        its endpoints reversed, or MapError is raised.
+        maps EXT and construction indices to face ids of the final map.  The
+        cycles (F_ext, F_0, ..., F_last) go to
+        ``planar_map.from_face_edge_cycles``, which numbers the edges and
+        raises MapError on a malformed cycle.
         """
         n = len(self.ring)
         ext = [(self.ring[(i + 1) % n][0], self.ring[i][1]) for i in reversed(range(n))]
         cycles = [ext] + self.cycles
-        seen = [0] * self.ne          # Builder edge id -> sides met so far
-        first = [0] * self.ne         # Builder edge id -> dart of its first side
-        edges = []                    # map edge k -> Builder edge id
-        dart_cycles = []
-        for cyc in cycles:
-            darts = []
-            for _tail, e in cyc:
-                c = seen[e]
-                if not c:
-                    first[e] = 2 * len(edges)
-                    edges.append(e)
-                seen[e] = c + 1
-                darts.append(first[e] + c)
-            dart_cycles.append(darts)
-        for e in edges:
-            if seen[e] != 2:
-                raise MapError(f"edge {e!r} occurs {seen[e]} times, expected 2")
-        n_darts = 2 * len(edges)
-        face_next = [0] * n_darts
+        hmap, dart_cycles = pm.from_face_edge_cycles(cycles)
+        n_darts = hmap.n_darts
         tail = [0] * n_darts
+        label = [0] * n_darts
         for cyc, darts in zip(cycles, dart_cycles):
-            prev = darts[-1]
-            for (v, _e), d in zip(cyc, darts):
-                face_next[prev] = d
+            for (v, e), d in zip(cyc, darts):
                 tail[d] = v
-                prev = d
-        for k, e in enumerate(edges):
-            a, b = tail[2 * k], tail[2 * k + 1]
-            if a == b:
-                raise MapError(f"edge {e!r} is a loop or doubly-traversed")
-            if a != tail[face_next[2 * k + 1]] or tail[face_next[2 * k]] != b:
-                raise MapError(f"edge {e!r} endpoints disagree between its two sides")
-        hmap = pm._finish(tuple([face_next[d ^ 1] for d in range(n_darts)]), 0)
+                label[d] = e
 
         face_of, vertex_of = hmap.face_of, hmap.vertex_of
         # tuples of lists, not of generators: a generator's tuple is resized
@@ -267,7 +238,7 @@ class Builder:
         template = Template(map=hmap, marks=marks, holes=frozenset(), face_order=order)
         lengths = None
         if self.edge_len is not None:
-            lengths = tuple([self.edge_len[e] for e in edges])
+            lengths = tuple([self.edge_len[e] for e in label[::2]])
         return template, seq_to_face, lengths
 
 

@@ -69,11 +69,6 @@ class MotParams:
     seed: int
     duration: float = 1.0
 
-    @property
-    def near_degenerate(self):
-        """Correlation close to +-1 (gamma near 0 or 2); sampling gets hard."""
-        return abs(self.correlation) > 0.995
-
 
 def mot_params(gamma, epsilon, steps, seed, duration=1.0) -> MotParams:
     if not 0 < gamma < 2:
@@ -122,10 +117,6 @@ class ConeWalk:
         L = np.asarray(self.L, dtype=float)
         R = np.asarray(self.R, dtype=float)
         return np.minimum(L[:-1], L[1:]), np.minimum(R[:-1], R[1:])
-
-    def in_quadrant(self):
-        """min(L) >= 0 and min(R) >= 0."""
-        return bool(self.L.min() >= 0.0 and self.R.min() >= 0.0)
 
 
 def _increment_mix(p: MotParams, a, b, drift=0.0):

@@ -63,18 +63,6 @@ class ArcDiagram:
             d[b] = a
         return d
 
-    def oriented_arcs(self):
-        """Arcs as (start, end), orientations from the alternation rule."""
-        out = []
-        for a, b in self.pairs:
-            # exactly one endpoint of each arc is odd
-            odd, even = (a, b) if a % 2 else (b, a)
-            if self.side == UPPER:
-                out.append((odd, even))
-            else:
-                out.append((even, odd))
-        return out
-
 
 def _noncrossing(pairs):
     for (a, b), (c, d) in itertools.combinations(pairs, 2):

@@ -38,7 +38,8 @@ class HalfEdgeMap:
     """Rooted combinatorial planar map.
 
     ``next_dart`` is the ccw rotation; twins are implicit (``d ^ 1``).
-    Use :func:`build_map` / :func:`from_faces` instead of the raw constructor.
+    Use :func:`build_map` / :func:`from_face_edge_cycles` instead of the raw
+    constructor.
     """
 
     next_dart: tuple
@@ -66,14 +67,6 @@ class HalfEdgeMap:
     def n_faces(self):
         return len(self.face_cycles)
 
-    @property
-    def euler_characteristic(self):
-        return self.n_vertices - self.n_edges + self.n_faces
-
-    @property
-    def is_spherical(self):
-        return self.euler_characteristic == 2
-
     # -- navigation -----------------------------------------------------------
 
     def twin(self, dart):
@@ -92,14 +85,6 @@ class HalfEdgeMap:
     def vertex_faces(self, vertex):
         """Faces at the corners of ``vertex``, one per incident dart."""
         return [self.face_of[d] for d in self.vertex_cycles[vertex]]
-
-    def edge_faces(self, edge):
-        d = 2 * edge
-        return (self.face_of[d], self.face_of[d ^ 1])
-
-    def edge_vertices(self, edge):
-        d = 2 * edge
-        return (self.vertex_of[d], self.vertex_of[d ^ 1])
 
 
 def _orbits(perm):
@@ -192,74 +177,53 @@ def _finish(next_dart, root):
     )
 
 
-def faces(m: HalfEdgeMap):
-    """Face orbits of ``next o twin`` as dart cycles; they partition the darts."""
-    return list(m.face_cycles)
-
-
-def from_faces(face_vertex_cycles, root_pair=None):
-    """Build a map from faces given as vertex cycles (face on the left).
-
-    Each face is a cyclic sequence of vertex labels; every oriented pair
-    ``(u, v)`` must occur in exactly one face (so parallel edges between the
-    same two vertices are not expressible here).  Returns ``(map, dart_of)``
-    where ``dart_of[(u, v)]`` locates oriented edges in the result.
-    ``root_pair`` picks the root dart; defaults to the first pair of the
-    first face.  A thin adapter over :func:`from_face_edge_cycles`, with the
-    edge between u and v labelled ``frozenset((u, v))``.
-    """
-    cycles = [[(u, frozenset((u, v))) for u, v in zip(cyc, [*cyc[1:], *cyc[:1]])]
-              for cyc in face_vertex_cycles]
-    root_key = None if root_pair is None else (root_pair[0], frozenset(root_pair))
-    m, darts = from_face_edge_cycles(cycles, root_key)
-    return m, {(u, v): d for (u, e), d in darts.items() for v in e - {u}}
-
-
-def from_face_edge_cycles(cycles, root_key=None):
+def from_face_edge_cycles(cycles, root=(0, 0)):
     """Build a map from faces given as cycles of ``(tail_vertex, edge_label)``.
 
     Each entry travels from its tail vertex along the labelled edge to the
-    next entry's tail; every edge label must occur exactly twice, with
-    distinct tails (no loop edges).  Parallel edges are fine since labels
-    disambiguate.  Returns ``(map, dart_of)`` with ``dart_of[(tail, edge)]``
-    locating darts; ``root_key`` is such a pair (default: first entry of the
-    first face).
+    next entry's tail, with the face on the left; labels may be any
+    hashable, so parallel edges are fine.  Every label must occur exactly
+    twice, with its endpoints reversed and distinct (no loop edges), or
+    MapError is raised.  Edges are numbered by first occurrence over the
+    cycles in turn; an edge's first side is dart 2k, its second 2k+1.
+    Returns ``(map, dart_cycles)`` with ``dart_cycles[i][j]`` the dart of
+    entry j of cycle i; ``root`` is the (cycle, entry) of the root dart.
     """
-    occurrences = {}
-    for ci, cyc in enumerate(cycles):
-        k = len(cyc)
-        if k < 2:
-            raise MapError("face cycles need at least two entries")
-        for i, (tail, e) in enumerate(cyc):
-            head = cyc[(i + 1) % k][0]
-            occurrences.setdefault(e, []).append((tail, head, ci, i))
-    for e, occ in occurrences.items():
-        if len(occ) != 2:
-            raise MapError(f"edge {e!r} occurs {len(occ)} times, expected 2")
-        if occ[0][0] == occ[1][0]:
-            raise MapError(f"edge {e!r} is a loop or doubly-traversed")
-        if occ[0][0] != occ[1][1] or occ[0][1] != occ[1][0]:
-            raise MapError(f"edge {e!r} endpoints disagree between its two sides")
-
-    edge_ids = {e: i for i, e in enumerate(occurrences)}
-    dart_of = {}
-    for e, occ in occurrences.items():
-        k = edge_ids[e]
-        dart_of[(occ[0][0], e)] = 2 * k
-        dart_of[(occ[1][0], e)] = 2 * k + 1
-    n = 2 * len(occurrences)
-    # face successor phi (faces on the left), then ccw rotation = phi o twin
-    face_next = [0] * n
+    first = {}   # edge label -> dart of its first side
+    seen = {}    # edge label -> sides met so far
+    dart_cycles = []
     for cyc in cycles:
-        k = len(cyc)
-        for i, (tail, e) in enumerate(cyc):
-            nxt_entry = cyc[(i + 1) % k]
-            face_next[dart_of[(tail, e)]] = dart_of[nxt_entry]
-    nxt = [face_next[d ^ 1] for d in range(n)]
-    if root_key is None:
-        root_key = cycles[0][0]
-    m = _finish(tuple(nxt), dart_of[root_key])
-    return m, dart_of
+        if len(cyc) < 2:
+            raise MapError("face cycles need at least two entries")
+        darts = []
+        for _tail, e in cyc:
+            c = seen.get(e, 0)
+            if not c:
+                first[e] = 2 * len(first)
+            seen[e] = c + 1
+            darts.append(first[e] + c)
+        dart_cycles.append(darts)
+    for e, c in seen.items():
+        if c != 2:
+            raise MapError(f"edge {e!r} occurs {c} times, expected 2")
+    n = 2 * len(first)
+    face_next = [0] * n
+    tail = [None] * n
+    for cyc, darts in zip(cycles, dart_cycles):
+        prev = darts[-1]
+        for (v, _e), d in zip(cyc, darts):
+            face_next[prev] = d
+            tail[d] = v
+            prev = d
+    for e, d in first.items():
+        a, b = tail[d], tail[d + 1]
+        if a == b:
+            raise MapError(f"edge {e!r} is a loop or doubly-traversed")
+        if a != tail[face_next[d + 1]] or tail[face_next[d]] != b:
+            raise MapError(f"edge {e!r} endpoints disagree between its two sides")
+    ci, j = root
+    m = _finish(tuple([face_next[d ^ 1] for d in range(n)]), dart_cycles[ci][j])
+    return m, dart_cycles
 
 
 def canonical_code(m: HalfEdgeMap) -> bytes:
@@ -336,19 +300,3 @@ def from_text(text: str) -> HalfEdgeMap:
     except MapError as exc:
         raise ParseError(f"not a valid map: {exc}") from exc
 
-
-# --- small classical fixtures ----------------------------------------------------
-
-def polygon_map(k: int) -> HalfEdgeMap:
-    """Cycle on k vertices (k >= 2): V=k, E=k, F=2; edge i joins i and i+1."""
-    inner = [(i, i) for i in range(k)]
-    outer = [((i + 1) % k, i) for i in reversed(range(k))]
-    m, _ = from_face_edge_cycles([inner, outer])
-    return m
-
-
-def tetrahedron_map() -> HalfEdgeMap:
-    """Skeleton of the tetrahedron: V=4, E=6, F=4."""
-    faces_ = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (3, 2, 1)]
-    m, _ = from_faces(faces_)
-    return m

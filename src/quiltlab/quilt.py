@@ -508,17 +508,6 @@ class MarkedSubtemplate:
     def n_holes(self):
         return len(self.hole_labels)
 
-    def vertex_to_parent(self):
-        """Reduced vertex id -> parent vertex id."""
-        out = {}
-        for d, path in self.dart_expansion.items():
-            out[self.template.map.vertex_of[d]] = self.parent.map.vertex_of[path[0]]
-        return out
-
-    def parent_vertex_to_reduced(self):
-        return {pv: v for v, pv in self.vertex_to_parent().items()}
-
-
 def _face_bfs_order(t: Template):
     """Deterministic face BFS from the root dart's face, edges in id order."""
     m = t.map

@@ -732,26 +732,22 @@ def compose_fillings(tsub: MarkedSubtemplate, sources):
 
     cycles = []
     face_tags = []
-    root_entry = None
-    root_dart = t.map.root
+    root = (0, 0)  # (cycle, entry) of the root dart's first piece
 
     # marked faces: tsub cycles with hole-boundary edges expanded
     for f in sorted(t.marks):
         entries = []
         for d in t.map.face_cycles[f]:
+            if d == t.map.root:
+                root = (len(cycles), len(entries))
             if d in hole_of_dart:
                 j = hole_of_dart[d]
                 data = hole_data[j]
                 for x in data["boundary_pieces"][d]:
-                    entry = (vname(j, data["gmap"].vertex_of[x]), ("e", j, x >> 1))
-                    if d == root_dart and root_entry is None:
-                        root_entry = entry
-                    entries.append(entry)
+                    entries.append(
+                        (vname(j, data["gmap"].vertex_of[x]), ("e", j, x >> 1)))
             else:
-                entry = (("t", t.map.vertex_of[d]), ("t", d >> 1))
-                if d == root_dart:
-                    root_entry = entry
-                entries.append(entry)
+                entries.append((("t", t.map.vertex_of[d]), ("t", d >> 1)))
         cycles.append(entries)
         face_tags.append(("marked", f))
 
@@ -768,16 +764,20 @@ def compose_fillings(tsub: MarkedSubtemplate, sources):
             cycles.append(entries)
             face_tags.append(("hole", j, gf))
 
-    hmap, dart_of = pm.from_face_edge_cycles(cycles, root_key=root_entry)
+    hmap, dart_cycles = pm.from_face_edge_cycles(cycles, root)
 
-    vmap = {}
-    for (tail, _e), dd in dart_of.items():
-        vmap.setdefault(tail, hmap.vertex_of[dd])
+    tail = [None] * hmap.n_darts
+    for entries, darts in zip(cycles, dart_cycles):
+        for (v, _e), d in zip(entries, darts):
+            tail[d] = v
+    vmap = {}  # vertex name -> map vertex of its smallest dart
+    for d, v in enumerate(tail):
+        vmap.setdefault(v, hmap.vertex_of[d])
 
     marks = {}
     marked_faces = set()
-    for entries, tag in zip(cycles, face_tags):
-        fid = hmap.face_of[dart_of[entries[0]]]
+    for darts, tag in zip(dart_cycles, face_tags):
+        fid = hmap.face_of[darts[0]]
         if tag[0] == "marked":
             f = tag[1]
             marks[fid] = tuple(vmap[("t", v)] for v in t.marks[f])

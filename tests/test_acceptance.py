@@ -19,7 +19,7 @@ from quiltlab import quilt_enum as qe
 from quiltlab import quilt_winding as qw
 
 from conftest import MASTER_SEED, build_subtemplate
-from helpers import sample_walk_proposals
+from helpers import in_quadrant, sample_walk_proposals
 
 
 def report(number, name, passed, detail=""):
@@ -86,7 +86,7 @@ def test_criterion_07_mating_pipeline():
     ok = True
     for k in range(paths.shape[0]):
         walk = mt.ConeWalk(times=times, L=paths[k, :, 0], R=paths[k, :, 1])
-        in_cone = walk.in_quadrant()
+        in_cone = in_quadrant(walk)
         if in_cone:
             walk, at = mt.refine_walk(walk, times[cuts], probe.variance, refine_rng)
             cells = mt.cell_lengths_at(walk, at)

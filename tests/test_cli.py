@@ -21,6 +21,7 @@ from quiltlab.cli import _polyline_from_text, main
 from quiltlab.errors import ParseError
 
 from conftest import build_template
+from helpers import tetrahedron_map
 
 
 def run(argv, capsys):
@@ -424,7 +425,7 @@ def test_malformed_input_file_is_a_usage_error(tmp_path, capsys, argv, content):
 READERS = {
     "template": (qt.template_from_text,
                  qt.template_to_text(build_template([(1, 1), (2, 1)]))),
-    "map": (pm.from_text, pm.to_text(pm.tetrahedron_map())),
+    "map": (pm.from_text, pm.to_text(tetrahedron_map())),
     "graph": (fl.load_graph, fl.dump_graph(fl.grid_graph(2))),
     "polyline": (_polyline_from_text, "# square\n0,0\n1,0\n1,1\n0,1\n"),
 }

@@ -1,14 +1,17 @@
-"""Every name that ``src/quiltlab`` defines is used somewhere.
+"""Every name that ``src/quiltlab`` defines is used, and not by tests alone.
 
 The names are the top-level ones and every ``def`` at any depth: methods,
 properties, classmethods and nested functions.  A name is dead when no
 Python file under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``
 mentions it outside the lines of its own definition (a recursive
-function's call of itself does not count).  Mentions are whole words, so a
+function's call of itself does not count).  A name is test-only when only
+files under ``tests/`` mention it and ``README.md`` does not name it: such
+a helper belongs in ``tests/helpers.py``.  Mentions are whole words, so a
 name read by ``getattr`` from a string counts as used.
 """
 
 import ast
+import functools
 import re
 from collections import Counter
 from pathlib import Path
@@ -44,25 +47,65 @@ def _word_lines(text):
     return where
 
 
-def dead_names():
-    """``module:name`` of every name the package defines that nothing uses.
+def tree_texts():
+    """The text of every Python file searched, keyed by its path relative
+    to the repository root, and the README's text."""
+    texts = {path.relative_to(ROOT): path.read_text()
+             for top in SEARCHED for path in (ROOT / top).rglob("*.py")}
+    return texts, (ROOT / "README.md").read_text()
+
+
+def unused_names(texts, readme):
+    """(dead, test-only): ``module:name`` of every name the package defines
+    that nothing uses, and of every one that only ``tests/`` uses and the
+    README does not name.
 
     Each file is split into words once; a name is mentioned where it is one
     of those words."""
-    texts = {path: path.read_text() for top in SEARCHED for path in (ROOT / top).rglob("*.py")}
     words = {path: _word_lines(text) for path, text in texts.items()}
-    files_with = Counter(word for where in words.values() for word in where)
-    dead = []
-    for path in sorted((ROOT / "src" / "quiltlab").glob("*.py")):
+    files_with = {top: Counter() for top in SEARCHED}
+    for path, where in words.items():
+        files_with[path.parts[0]].update(where.keys())
+    named = set(WORD.findall(readme))
+    dead, test_only = [], []
+    for path in sorted(p for p in texts if p.parts[:2] == ("src", "quiltlab")):
         for name, first, last in _defined_names(ast.parse(texts[path])):
             if name.startswith("__"):
                 continue
             own = words[path].get(name, [])
-            elsewhere = files_with[name] > (1 if own else 0)
-            if not (elsewhere or any(not first <= n <= last for n in own)):
+            tops = {top for top in SEARCHED
+                    if files_with[top][name] > (1 if top == "src" and own else 0)}
+            if any(not first <= n <= last for n in own):
+                tops.add("src")
+            if not tops:
                 dead.append(f"{path.stem}:{name}")
-    return dead
+            elif tops == {"tests"} and name not in named:
+                test_only.append(f"{path.stem}:{name}")
+    return dead, test_only
+
+
+@functools.cache
+def _scan():
+    return unused_names(*tree_texts())
 
 
 def test_no_dead_names():
-    assert dead_names() == []
+    assert _scan()[0] == []
+
+
+def test_no_test_only_names():
+    assert _scan()[1] == []
+
+
+def test_scan_reports_a_planted_test_only_helper():
+    texts, readme = tree_texts()
+    del texts[Path(__file__).resolve().relative_to(ROOT)]  # it names the helper too
+    texts[Path("src", "quiltlab", "planted.py")] = "def planted_helper():\n    return 1\n"
+    texts[Path("tests", "test_planted.py")] = "assert planted_helper() == 1\n"
+    assert unused_names(texts, readme) == ([], ["planted:planted_helper"])
+    assert unused_names(texts, readme + "\n`planted_helper`\n") == ([], [])
+    demo = dict(texts)
+    demo[Path("demos", "planted_demo.py")] = "print(planted_helper())\n"
+    assert unused_names(demo, readme) == ([], [])
+    del texts[Path("tests", "test_planted.py")]
+    assert unused_names(texts, readme) == (["planted:planted_helper"], [])

@@ -21,7 +21,13 @@ from quiltlab.errors import (
     RejectionBudgetExceeded,
 )
 
-from helpers import n2_builders, sample_walk_proposals, step_chol
+from helpers import (
+    in_quadrant,
+    n2_builders,
+    near_degenerate,
+    sample_walk_proposals,
+    step_chol,
+)
 
 
 def test_params_sqrt2():
@@ -39,7 +45,7 @@ def test_params_gamma_one():
 def test_params_near_two_flagged():
     p = mt.mot_params(1.999, 0.1, 64, 1)
     assert p.correlation > 0.99
-    assert p.near_degenerate
+    assert near_degenerate(p)
     with pytest.raises(GammaOutOfRange):
         mt.mot_params(2.0, 0.1, 64, 1)
     with pytest.raises(GammaOutOfRange):
@@ -235,7 +241,7 @@ def test_cone_walk_first_survivor_and_rejections(monkeypatch):
     assert missed and all(j is None for _, _, j in missed) and i is not None
     assert walk.rejections == sum(len(m[0]) for m in missed) + i
     assert np.array_equal(walk.L, L[i]) and np.array_equal(walk.R, R[i])
-    assert walk.in_quadrant() and walk.L[-1] == 0.0 and walk.R[-1] == 0.0
+    assert in_quadrant(walk) and walk.L[-1] == 0.0 and walk.R[-1] == 0.0
 
 
 def test_covariance_calibration():
@@ -406,7 +412,7 @@ def test_cone_containment_iff_sn2(rng):
         walk = mt.ConeWalk(times=times, L=paths[k, :, 0], R=paths[k, :, 1])
         cuts = [8, 16, 24]
         cells = mt.cell_lengths_at(walk, cuts)
-        in_cone = walk.in_quadrant()
+        in_cone = in_quadrant(walk)
         if cells.degenerate() and in_cone:
             continue  # a grid tie: the pipeline reads sub-grid minima instead
         assert cells.sn2_satisfied() == in_cone

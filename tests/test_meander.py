@@ -8,7 +8,7 @@ from quiltlab import _verify
 from quiltlab import meander as me
 from quiltlab.errors import MeanderError, SizeMismatch
 
-from helpers import catalan
+from helpers import catalan, oriented_arcs
 
 # open meander counts by size (2m-1 crossings), frozen from the
 # pair-filter oracle and cross-checked by the transfer matrix; verify-all
@@ -36,11 +36,11 @@ def test_noncrossing_rejected():
 def test_orientations_alternate_along_line():
     for m in (2, 3):
         for diag in me.enumerate_arc_diagrams(m, me.UPPER):
-            starts = {a for a, b in diag.oriented_arcs()}
+            starts = {a for a, b in oriented_arcs(diag)}
             # upper arcs start at their odd endpoint
             assert all(p % 2 == 1 for p in starts)
         for diag in me.enumerate_arc_diagrams(m, me.LOWER):
-            starts = {a for a, b in diag.oriented_arcs()}
+            starts = {a for a, b in oriented_arcs(diag)}
             assert all(p % 2 == 0 for p in starts)
 
 

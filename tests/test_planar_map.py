@@ -12,54 +12,61 @@ from quiltlab.errors import (
     SizeMismatch,
 )
 
-from helpers import relabel_map, single_edge_map
+from helpers import (
+    euler_characteristic,
+    from_faces,
+    polygon_map,
+    relabel_map,
+    single_edge_map,
+    tetrahedron_map,
+)
 
 
 def test_triangle_counts():
-    t = pm.polygon_map(3)
+    t = polygon_map(3)
     assert (t.n_vertices, t.n_edges, t.n_faces) == (3, 3, 2)
-    assert t.euler_characteristic == 2
+    assert euler_characteristic(t) == 2
 
 
 def test_single_edge_counts():
     e = single_edge_map()
     assert (e.n_vertices, e.n_edges, e.n_faces) == (2, 1, 1)
-    assert e.euler_characteristic == 2
-    assert len(pm.faces(e)[0]) == 2
+    assert euler_characteristic(e) == 2
+    assert len(e.face_cycles[0]) == 2
 
 
 def test_tetrahedron_counts():
-    t = pm.tetrahedron_map()
+    t = tetrahedron_map()
     assert (t.n_vertices, t.n_edges, t.n_faces) == (4, 6, 4)
-    assert t.is_spherical
+    assert euler_characteristic(t) == 2
 
 
 def test_face_cycles_partition_darts():
-    for m in (pm.polygon_map(3), single_edge_map(), pm.tetrahedron_map()):
-        darts = [d for cyc in pm.faces(m) for d in cyc]
+    for m in (polygon_map(3), single_edge_map(), tetrahedron_map()):
+        darts = [d for cyc in m.face_cycles for d in cyc]
         assert sorted(darts) == list(range(m.n_darts))
         verts = [d for cyc in m.vertex_cycles for d in cyc]
         assert sorted(verts) == list(range(m.n_darts))
 
 
 def test_face_lengths_sum_to_twice_edges():
-    t = pm.tetrahedron_map()
-    assert sum(len(c) for c in pm.faces(t)) == 2 * t.n_edges
+    t = tetrahedron_map()
+    assert sum(len(c) for c in t.face_cycles) == 2 * t.n_edges
 
 
 def test_quadrangulated_square_three_faces():
     # square 0-1-2-3 with diagonal 0-2: faces traced by hand from the
     # rotation system: two triangles plus the outer face
     faces = [(0, 1, 2), (0, 2, 3), (3, 2, 1, 0)]
-    m, _ = pm.from_faces(faces)
+    m, _ = from_faces(faces)
     assert m.n_faces == 3
     assert m.n_edges == 5
-    assert m.is_spherical
+    assert euler_characteristic(m) == 2
 
 
 def test_from_faces_dart_of_locates_oriented_edges():
     faces = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (3, 2, 1)]
-    m, dart_of = pm.from_faces(faces, root_pair=(0, 2))
+    m, dart_of = from_faces(faces, root_pair=(0, 2))
     assert m.root == dart_of[(0, 2)]
     assert len(dart_of) == 12
     tails = {}
@@ -71,15 +78,15 @@ def test_from_faces_dart_of_locates_oriented_edges():
 
 
 def test_polygon_map_bigon():
-    m = pm.polygon_map(2)
+    m = polygon_map(2)
     assert (m.n_vertices, m.n_edges, m.n_faces) == (2, 2, 2)
-    assert m.is_spherical
+    assert euler_characteristic(m) == 2
     assert [len(c) for c in m.face_cycles] == [2, 2]
     assert [len(c) for c in m.vertex_cycles] == [2, 2]
 
 
 def test_twin_normalization():
-    t = pm.polygon_map(4)
+    t = polygon_map(4)
     for d in range(t.n_darts):
         assert t.twin(d) == (d ^ 1)
 
@@ -99,7 +106,7 @@ def test_build_map_errors():
 
 
 def test_canonical_code_identity_and_distinct():
-    t = pm.polygon_map(3)
+    t = polygon_map(3)
     e = single_edge_map()
     assert pm.canonical_code(t) == pm.canonical_code(t)
     assert pm.canonical_code(t) != pm.canonical_code(e)
@@ -108,10 +115,10 @@ def test_canonical_code_identity_and_distinct():
 def test_canonical_code_rotating_root_on_symmetric_map():
     # the triangle has an automorphism rotating its darts; re-rooting along
     # the same face orbit gives isomorphic rooted maps
-    t = pm.polygon_map(3)
+    t = polygon_map(3)
     orbit_root = t.face_of[t.root]
     codes = set()
-    for d in pm.faces(t)[orbit_root]:
+    for d in t.face_cycles[orbit_root]:
         m = pm.build_map(list(t.next_dart), [x ^ 1 for x in range(t.n_darts)], d)
         codes.add(pm.canonical_code(m))
     assert len(codes) == 1
@@ -120,7 +127,7 @@ def test_canonical_code_rotating_root_on_symmetric_map():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_canonical_code_relabel_invariant(seed):
-    t = pm.tetrahedron_map()
+    t = tetrahedron_map()
     perm = list(range(t.n_darts))
     random.Random(seed).shuffle(perm)
     relabeled = relabel_map(t, perm)
@@ -150,7 +157,7 @@ def test_cycles_start_at_their_smallest_dart_in_order(n_edges, seed):
 
 
 def test_text_round_trip():
-    for m in (pm.polygon_map(3), pm.tetrahedron_map()):
+    for m in (polygon_map(3), tetrahedron_map()):
         text = pm.to_text(m)
         again = pm.from_text(text)
         assert pm.to_text(again) == text
@@ -160,6 +167,8 @@ def test_text_round_trip():
 def test_from_face_edge_cycles_parallel_edges():
     # bigon: two vertices joined by two parallel edges
     cycles = [[(0, "a"), (1, "b")], [(0, "b"), (1, "a")]]
-    m, dart_of = pm.from_face_edge_cycles(cycles)
+    m, dart_cycles = pm.from_face_edge_cycles(cycles)
+    # edges numbered by first occurrence; an edge's first side is dart 2k
+    assert dart_cycles == [[0, 2], [3, 1]] and m.root == 0
     assert (m.n_vertices, m.n_edges, m.n_faces) == (2, 2, 2)
-    assert m.is_spherical
+    assert euler_characteristic(m) == 2

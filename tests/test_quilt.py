@@ -31,7 +31,15 @@ from quiltlab.errors import (
 )
 
 from conftest import MASTER_SEED, build_subtemplate, build_template
-from helpers import build_through_cycles, n2_builders
+from helpers import (
+    build_through_cycles,
+    cycles_oracle,
+    edge_faces,
+    edge_vertices,
+    n2_builders,
+    polygon_map,
+    vertex_to_parent,
+)
 
 
 @pytest.fixture(scope="module")
@@ -200,15 +208,15 @@ def test_left_tree_contour_rejects_a_cycle_and_a_forest():
     # removing an edge with tree edges at both ends leaves two components
     degree = {}
     for e in left:
-        for v in t.map.edge_vertices(e):
+        for v in edge_vertices(t.map, e):
             degree[v] = degree.get(v, 0) + 1
     cut = next(e for e in sorted(left) if e != start >> 1
-               and min(degree[v] for v in t.map.edge_vertices(e)) >= 2)
+               and min(degree[v] for v in edge_vertices(t.map, e)) >= 2)
     assert qt._left_tree_contour(t.map, left - {cut}, start) is None
 
 
 def test_left_tree_contour_on_a_square():
-    m = pm.polygon_map(4)  # edge i joins vertices i and i+1; dart 2i leaves i
+    m = polygon_map(4)  # edge i joins vertices i and i+1; dart 2i leaves i
     assert qt._left_tree_contour(m, {0, 1, 2}, 0) == {0: 0, 1: 1, 2: 2}
     assert qt._left_tree_contour(m, {0, 1, 2, 3}, 0) is None  # the closing edge
     assert qt._left_tree_contour(m, {0, 2}, 0) is None  # two components
@@ -243,7 +251,7 @@ def test_mark_positions_kept_from_validation(chain3):
 
 
 def _builds_agree(b, build):
-    """``build(b)`` equals the build through ``from_face_edge_cycles``: map,
+    """``build(b)`` equals the build through the dict-keyed constructor: map,
     marks (in order), face order, seq_to_face and lengths."""
     got = build(b)
     (t, seq, lengths), (t0, seq0, lengths0) = got, build_through_cycles(b)
@@ -255,6 +263,17 @@ def _builds_agree(b, build):
 
 
 def test_array_build_matches_cycle_build(monkeypatch):
+    compositions = _recorded_compositions(monkeypatch)
+    assert len(compositions) == COMPOSE_DIGEST[0]
+    monkeypatch.undo()
+    monkeypatch.setattr(pm, "from_face_edge_cycles", cycles_oracle)
+    for (tsub, sources), (t, marked) in compositions:
+        t0, marked0 = qe.compose_fillings(tsub, sources)
+        assert t.map == t0.map and t.face_order == t0.face_order
+        assert list(t.marks.items()) == list(t0.marks.items())
+        assert repr(t) == repr(t0) and marked == marked0
+    monkeypatch.undo()
+
     array_build = Builder.build
     builders = list(n2_builders())
     for moves, _ in FIXTURES.values():
@@ -288,6 +307,7 @@ def test_array_build_matches_cycle_build(monkeypatch):
     ("once", "occurs 1 times, expected 2"),
     ("thrice", "occurs 3 times, expected 2"),
     ("endpoints", "endpoints disagree between its two sides"),
+    ("short", "face cycles need at least two entries"),
 ])
 def test_array_build_refuses_corrupt_cycles(defect, message):
     b = Builder()
@@ -299,6 +319,8 @@ def test_array_build_refuses_corrupt_cycles(defect, message):
         del f1[0]
     elif defect == "thrice":
         b.cycles[-1].insert(0, f1[0])
+    elif defect == "short":
+        b.cycles.append([f1[0]])
     else:
         f1[0] = (b.nv, f1[0][1])  # a tail no other entry has
     for build in (Builder.build, build_through_cycles):
@@ -328,7 +350,7 @@ def test_two_holes(chain3_sub):
     # holes share no boundary edges: each edge borders at most one hole
     t = chain3_sub.template
     for e in range(t.map.n_edges):
-        fs = t.map.edge_faces(e)
+        fs = edge_faces(t.map, e)
         assert sum(1 for f in fs if f in t.holes) <= 1
 
 
@@ -347,7 +369,7 @@ def test_expansion_round_trip(chain3, chain3_sub):
     kept_edges = {d >> 1 for d in parent_darts}
     dropped = set(range(chain3.map.n_edges)) - kept_edges
     for e in dropped:
-        fs = set(chain3.map.edge_faces(e))
+        fs = set(edge_faces(chain3.map, e))
         assert not fs & chain3_sub.parent_faces
 
 
@@ -476,7 +498,7 @@ def _reference_view(tsub, filling):
         clusters[tsub.hole_labels.index(tmap.face_of[iso[d]])] = red.cluster_faces[pos]
     red_to_tsub = {red.template.map.vertex_of[rd]: tmap.vertex_of[td]
                    for rd, td in iso.items()}
-    vertices = {fv: red_to_tsub[rv] for fv, rv in red.parent_vertex_to_reduced().items()}
+    vertices = {fv: red_to_tsub[rv] for rv, fv in vertex_to_parent(red).items()}
     return dart_paths, tuple(clusters), vertices
 
 
@@ -572,6 +594,43 @@ def test_reduced_map_is_build_map_of_its_arrays(monkeypatch):
     assert len(maps) > 3
     for m in maps:
         assert pm.build_map(m.next_dart, [d ^ 1 for d in range(m.n_darts)], m.root) == m
+
+
+# (composed templates, sha256 of their newline-joined texts) of the constructive
+# chain, wide and two-pass (2, 2) passes; each text is the template text, its
+# repr and its sorted marked faces.  Measured on the compose that keyed darts
+# by a dict of (tail, edge label) entries.
+COMPOSE_DIGEST = (
+    134, "d360c1bb6ed9e835c3ec94a0b5eabf44eb79c364a2d9b127909918cafe912218")
+
+
+def _recorded_compositions(monkeypatch):
+    """((tsub, sources), (template, marked faces)) of every call of
+    ``compose_fillings`` in the constructive (2, 2) passes of the chain,
+    wide and two-pass fixtures, one per combination of factor
+    representatives."""
+    seen = []
+    compose = qe.compose_fillings
+
+    def recording(tsub, sources):
+        seen.append(((tsub, sources), compose(tsub, sources)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qe, "compose_fillings", recording)
+    for name in ("chain", "wide", "two-pass"):
+        tsub, fills = _digest_fixture(name)
+        rep = qe.verify_product_bijection(tsub, (2, 2), fillings=fills)
+        assert rep.composed_checked == rep.n_fillings
+    return seen
+
+
+def _composed_text(template, marked):
+    return f"{qt.template_to_text(template)}{template!r}\n{sorted(marked)}"
+
+
+def test_composed_templates_byte_identical(monkeypatch):
+    texts = [_composed_text(*c).encode() for _, c in _recorded_compositions(monkeypatch)]
+    assert (len(texts), hashlib.sha256(b"\n".join(texts)).hexdigest()) == COMPOSE_DIGEST
 
 
 def test_composed_filling_view_matches_reduction(chain3_sub, monkeypatch):
@@ -1027,11 +1086,11 @@ def _geometric_embed_oracle(t, pinned):
 
     adj = {key: [] for key in nodes}
     for e in range(m.n_edges):
-        u, w = m.edge_vertices(e)
+        u, w = edge_vertices(m, e)
         adj[("m", e)] += [("v", u), ("v", w)]
         adj[("v", u)].append(("m", e))
         adj[("v", w)].append(("m", e))
-        for f in m.edge_faces(e):
+        for f in edge_faces(m, e):
             if f != outer:
                 adj[("m", e)].append(("f", f))
                 adj[("f", f)].append(("m", e))
