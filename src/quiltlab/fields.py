@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
-import scipy.special
 
 from .errors import (
     Disconnected,
@@ -175,6 +173,8 @@ def _spectral_gff(L: int, g: np.ndarray) -> np.ndarray:
     """Map iid standard normals g (..., k) to GFF values (..., k) on the
     row-major interior: the orthonormal DST-I is its own inverse, so the
     covariance is S diag(1/lambda) S = inverse Dirichlet Laplacian."""
+    import scipy.fft  # here, not at import: only GFF draws need it
+
     m = L - 2
     coeffs = g.reshape(*g.shape[:-1], m, m) * gff_sampling_factor(L)
     values = scipy.fft.dstn(coeffs, type=1, axes=(-2, -1), norm="ortho")
@@ -258,6 +258,8 @@ def _familywise_z(max_abs_z: float, entries: int) -> float:
     1 - Phi(t) = entries * (1 - Phi(max_abs_z)), or 0 when that exceeds 1/2.
     Under the null P(t >= x) <= 2 (1 - Phi(x)) however the entries correlate.
     """
+    import scipy.special  # here, not at import: whichever scipy module loads first costs 0.2 s
+
     log_tail = math.log(entries) + float(scipy.special.log_ndtr(-max_abs_z))
     return max(0.0, -float(scipy.special.ndtri_exp(min(log_tail, math.log(0.5)))))
 

@@ -226,18 +226,14 @@ def from_face_edge_cycles(cycles, root=(0, 0)):
     return m, dart_cycles
 
 
-def canonical_code(m: HalfEdgeMap) -> bytes:
-    """Root-preserving isomorphism invariant.
-
-    Two rooted maps are isomorphic (there is a dart bijection commuting with
-    next and twin and matching roots) iff their codes are equal: the code is
-    the next/twin tables written in breadth-first visit order from the root.
-    """
-    return code_from_labeling(m, canonical_labeling(m))
-
-
 def code_from_labeling(m: HalfEdgeMap, label) -> bytes:
-    """The next/twin tables of ``m`` written in the dart order of ``label``."""
+    """The next/twin tables of ``m`` written in the dart order of ``label``.
+
+    With the ``canonical_labeling`` this is a root-preserving isomorphism
+    invariant: two rooted maps are isomorphic (there is a dart bijection
+    commuting with next and twin and matching roots) iff their codes are
+    equal.
+    """
     n = m.n_darts
     inv = [0] * n
     for d, lab in enumerate(label):
@@ -250,7 +246,7 @@ def code_from_labeling(m: HalfEdgeMap, label) -> bytes:
 
 
 def canonical_labeling(m: HalfEdgeMap):
-    """BFS-from-root dart labeling used by :func:`canonical_code`."""
+    """Breadth-first dart labeling from the root, over next and twin."""
     n = m.n_darts
     label = [-1] * n
     label[m.root] = 0

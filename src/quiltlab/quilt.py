@@ -682,20 +682,7 @@ def template_key(t: Template, marked=None) -> bytes:
     """Isomorphism key of a rooted template (optionally with a marked-face
     set): BFS-canonical map code plus relabeled marks, holes (labelled by
     first encounter), and tags."""
-    if marked is None:
-        return _canonical(t)[1]
     return _labeled_key(t, pm.canonical_labeling(t.map), marked)
-
-
-def _canonical(t: Template):
-    """(canonical labeling, ``template_key``) of ``t``, worked out once per
-    template: a subtemplate matched against many leaves is labelled once."""
-
-    def compute(t):
-        label = pm.canonical_labeling(t.map)
-        return label, _labeled_key(t, label)
-
-    return t._memo("_canonical", compute)
 
 
 def _labeled_key(t: Template, label, marked=None) -> bytes:
@@ -719,9 +706,9 @@ def _labeled_key(t: Template, label, marked=None) -> bytes:
 
 def template_iso(a: Template, b: Template):
     """Dart bijection realizing a rooted isomorphism a -> b, or None."""
-    la, key_a = _canonical(a)
-    lb, key_b = _canonical(b)
-    if key_a != key_b:
+    la = pm.canonical_labeling(a.map)
+    lb = pm.canonical_labeling(b.map)
+    if _labeled_key(a, la) != _labeled_key(b, lb):
         return None
     inv_b = [0] * len(lb)
     for d, lab in enumerate(lb):

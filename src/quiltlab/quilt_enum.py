@@ -5,8 +5,8 @@ containing it as marked subtemplate; the unmarked faces form one cluster
 per hole, all 4-gons.  Fillings are enumerated by replaying the iterative
 construction: every ordered template arises from a unique sequence of
 (left split, right split) choices plus a marked/unmarked tag per 4-gon, so
-a depth-first search over (t, s, tag) sequences with a final reduce-and-
-compare is exhaustive.  Budgets are per hole.
+a depth-first search over (t, s, tag) sequences with a final rooted match
+against the subtemplate is exhaustive.  Budgets are per hole.
 
 Pruning keeps the search at desk scale: tag counts, per-step side-profile
 matching (the near sides of a marked 4-gon must collapse to the side
@@ -46,19 +46,22 @@ children that the look-ahead cuts, the branches and closes that the
 cluster check cuts, the closes that the hole labels cut, its leaves and the
 reject reason of every leaf that is not a filling (``counters``).
 
-A closed leaf is reduced onto the subtemplate once, by ``_filling``, the
-one constructor of a ``Filling``: the filling keeps the dart paths of the
-subtemplate's darts and its clusters in hole order, and the composition,
-the product bijection check and ``quilt_winding`` read that view instead of
-reducing the filling again.  The subtemplate is labelled once per template:
-its canonical labeling and key stay on it, so each leaf's match labels only
-the leaf's reduction.
+A closed leaf, and a composed filling, is matched to the subtemplate once,
+by ``_filling``, the one constructor of a ``Filling``: one rooted walk from
+the subtemplate's root into the template (``_view``) follows each
+subtemplate dart along the kept edges, through the vertices that
+``mark_subtemplate`` would smooth away, and floods each hole's cluster.  It
+builds no reduced map and labels nothing; ``mark_subtemplate``, the
+definition, runs only to name a leaf that the walk rejects.  The filling
+keeps the dart paths of the subtemplate's darts and its clusters in hole
+order, and the composition, the product bijection check and
+``quilt_winding`` read that view instead of reducing the filling again.
 
 A filling's hole-i factor is its projection (``project_filling``: the
 filling reduced onto the marked faces plus cluster i), which is the
 definition.  The product bijection check keys the factor by ``hole_key``, a
 rooted code of cluster i read off the view, which tells the projections
-apart without building them; so a filling costs one reduction, and no
+apart without building them; so a filling costs one walk, and no
 projection is built or labelled.
 """
 
@@ -76,7 +79,6 @@ from .quilt import (
     MarkedSubtemplate,
     Template,
     mark_subtemplate,
-    template_iso,
     template_key,
     validate_template,
     with_face_order,
@@ -87,8 +89,9 @@ from .quilt import (
 class Filling:
     """An element of the filling set: ordered template plus its marking.
 
-    The filling is reduced onto its subtemplate once, when it is made
-    (``_filling``), and every consumer reads that view:
+    The filling is matched to its subtemplate once, when it is made
+    (``_filling``, by one rooted walk), and every consumer reads that view,
+    which equals the one that ``mark_subtemplate`` would give:
     ``dart_paths[d]`` is the tuple of filling darts that subtemplate dart d
     expands to, and ``clusters[i]`` is the face set filling hole i
     (position in the subtemplate's hole label order); ``added[i]`` its size.
@@ -113,31 +116,119 @@ class Filling:
 
 def _filling(tsub: MarkedSubtemplate, template: Template, marked):
     """The Filling of ``tsub`` made of ``template`` and its ``marked`` faces,
-    with its view of ``tsub`` read off one reduction.
+    with its view of ``tsub`` read off one rooted walk (``_view``).
 
     Returns None when the marked faces reduce to another subtemplate and
-    raises TemplateError when they do not reduce at all.
+    raises TemplateError when they do not reduce at all: a failed walk is
+    named by ``mark_subtemplate``, the definition, and never made a filling.
     """
     marked = frozenset(marked)
-    red = mark_subtemplate(template, marked)
-    iso = template_iso(tsub.template, red.template)  # tsub dart -> reduced dart
-    if iso is None:
+    view = _view(tsub, template, marked)
+    if view is None:
+        mark_subtemplate(template, marked)  # raises when the faces do not reduce
         return None
-    tmap = tsub.template.map
-    # the isomorphism maps holes to holes: the keys tag every hole face
-    red_hole_pos = {h: i for i, h in enumerate(red.hole_labels)}
-    red_face_of = red.template.map.face_of
-    clusters = tuple(
-        red.cluster_faces[red_hole_pos[red_face_of[iso[tmap.face_cycles[h][0]]]]]
-        for h in tsub.hole_labels
-    )
+    dart_paths, clusters = view
     return Filling(
         template=template,
         marked=marked,
         clusters=clusters,
         key=template_key(template, marked=marked),
-        dart_paths=tuple(red.dart_expansion[iso[d]] for d in range(tmap.n_darts)),
+        dart_paths=dart_paths,
     )
+
+
+def _view(tsub: MarkedSubtemplate, template: Template, marked: frozenset):
+    """(dart paths, clusters) of ``tsub`` in ``template`` with its ``marked``
+    faces; None unless ``mark_subtemplate(template, marked)`` is rooted-
+    isomorphic to ``tsub``, holes and marks included.
+
+    The reduction keeps the edges on a marked face.  It smooths away each
+    vertex with two kept edges that is neither a marked vertex of a marked
+    face nor a corner of two marked faces.  So a reduced dart is a kept
+    dart at a surviving vertex, followed on through smoothed ones; its next
+    is the next kept dart around its tail, and its twin is the reverse
+    path.  The reduced root is the template's root when it survives, else
+    the smallest surviving dart.
+
+    The walk follows ``tsub``'s darts from the two roots along these
+    reduced darts and stops at the first clash of next, twin or a dart
+    reached twice.  It then matches each marked face of ``tsub`` to a
+    marked face with the same marks.  A marked face is its own reduced
+    face, so once they reach every marked face, every reduced dart is
+    reached: the holes are the other reduced faces, and ``tsub`` is a
+    reduction, so the marked faces are edge-connected.  The kept edges then
+    form one connected plane graph, and each cluster is one of its faces,
+    flooded from the face behind its hole's first dart over the edges that
+    no marked face borders; so no cluster has two rings.
+    """
+    tt = tsub.template
+    if template.holes or len(marked) != len(tt.marks) or not marked <= template.marks.keys():
+        return None
+    m = template.map
+    nxt, face_of, vertex_of = m.next_dart, m.face_of, m.vertex_of
+    sel = [False] * m.n_faces
+    for g in marked:
+        sel[g] = True
+    kept = [sel[a] or sel[b] for a, b in zip(face_of[::2], face_of[1::2])]  # per edge
+    marks = template.marks
+    marked_vertices = {v for g in marked for v in marks[g]}
+    through = [-1] * m.n_darts  # a kept dart at a smoothed vertex -> the other one
+    for v, cyc in enumerate(m.vertex_cycles):
+        ends = [d for d in cyc if kept[d >> 1]]
+        if (len(ends) == 2 and v not in marked_vertices
+                and len({face_of[d] for d in cyc if sel[face_of[d]]}) < 2):
+            through[ends[0]], through[ends[1]] = ends[1], ends[0]
+
+    root = m.root
+    if not kept[root >> 1] or through[root] >= 0:
+        root = next(d for d in range(m.n_darts) if kept[d >> 1] and through[d] < 0)
+    tm = tt.map
+    tnext = tm.next_dart
+    image = [-1] * tm.n_darts  # tsub dart -> first template dart of its path
+    paths = [None] * tm.n_darts
+    image[tm.root] = root
+    taken = {root}
+    queue = [tm.root]
+    for a in queue:  # the queue grows as darts are reached
+        x = y = image[a]
+        path = [x]
+        z = through[y ^ 1]
+        while z >= 0:
+            path.append(z)
+            y = z
+            z = through[y ^ 1]
+        paths[a] = tuple(path)
+        z = nxt[x]
+        while not kept[z >> 1]:
+            z = nxt[z]
+        for b, c in ((a ^ 1, y ^ 1), (tnext[a], z)):
+            if image[b] == c:
+                continue
+            if image[b] >= 0 or c in taken:
+                return None
+            image[b] = c
+            taken.add(c)
+            queue.append(b)
+
+    for f, mk in tt.marks.items():
+        cyc = tm.face_cycles[f]
+        g = face_of[image[cyc[0]]]
+        if not sel[g] or len(marks[g]) != len(mk) or any(
+                vertex_of[image[cyc[p]]] != v for p, v in zip(tt.mark_positions(f), marks[g])):
+            return None
+    clusters = []
+    for h in tsub.hole_labels:
+        start = face_of[image[tm.face_cycles[h][0]]]
+        bucket = {start}
+        stack = [start]
+        while stack:
+            for d in m.face_cycles[stack.pop()]:
+                g = face_of[d ^ 1]
+                if not kept[d >> 1] and g not in bucket:
+                    bucket.add(g)
+                    stack.append(g)
+        clusters.append(frozenset(bucket))
+    return tuple(paths), tuple(clusters)
 
 
 def _normalize_budgets(tsub: MarkedSubtemplate, n_max):
@@ -504,7 +595,7 @@ def enumerate_fillings(tsub: MarkedSubtemplate, n_max, counters=None):
     as ``counters`` receives the search counters: ``nodes`` expanded,
     children cut by the closing look-ahead (``closing_cuts``), children and
     closes cut by the cluster check (``budget_cuts``), closes cut by the
-    2-gon's hole labels (``hole_cuts``), ``leaves`` closed and reduced, and
+    2-gon's hole labels (``hole_cuts``), ``leaves`` closed and matched, and
     ``rejects`` per reason (REJECT_REASONS); every leaf is a filling or one
     reject.
     """

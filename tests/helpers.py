@@ -8,6 +8,12 @@ from quiltlab import planar_map as pm
 from quiltlab.errors import MapError
 
 
+def canonical_code(m: pm.HalfEdgeMap) -> bytes:
+    """Root-preserving isomorphism invariant of ``m``: its next/twin tables
+    in breadth-first visit order from the root."""
+    return pm.code_from_labeling(m, pm.canonical_labeling(m))
+
+
 def relabel_map(m: pm.HalfEdgeMap, dart_permutation):
     """Apply a dart relabeling (conjugation) to ``m``."""
     n = m.n_darts

@@ -335,11 +335,14 @@ def test_determinant_fails_without_the_left_tree(capsys, monkeypatch):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # nor scipy.fft and scipy.special, which only GFF draws and the
+    # family-wise z need
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quiltlab.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, quiltlab.cli; print(sorted(m for m in sys.modules"
+         " if m in ('scipy.stats', 'scipy.fft', 'scipy.special')))"],
         env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
 
 
 def test_verify_all_budget_zero(tmp_path, capsys):

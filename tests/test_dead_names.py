@@ -6,13 +6,16 @@ Python file under ``src/``, ``tests/``, ``demos/`` or ``perfbench/``
 mentions it outside the lines of its own definition (a recursive
 function's call of itself does not count).  A name is test-only when only
 files under ``tests/`` mention it and ``README.md`` does not name it: such
-a helper belongs in ``tests/helpers.py``.  Mentions are whole words, so a
-name read by ``getattr`` from a string counts as used.
+a helper belongs in ``tests/helpers.py``.  Mentions are whole words of the
+code: comments and docstrings are prose and do not count, while other
+string literals do, so a name read by ``getattr`` from a string is used.
 """
 
 import ast
 import functools
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -38,12 +41,33 @@ def _defined_names(tree):
                         yield name.id, node.lineno, node.end_lineno
 
 
+def _docstring_starts(tree):
+    """(line, column) of every docstring of the module, its classes and its
+    functions."""
+    return {(node.body[0].lineno, node.body[0].col_offset)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)}
+
+
+@functools.cache
 def _word_lines(text):
-    """Each whole word of ``text`` and the numbers of the lines it is on."""
+    """Each whole word of the code of ``text`` and the numbers of the lines
+    it is on, worked out once per text.  Comments and docstrings are prose
+    and are skipped; other string literals are kept, since ``getattr``
+    reads names from them."""
+    docstrings = _docstring_starts(ast.parse(text))
     where = {}
-    for number, line in enumerate(text.splitlines(), 1):
-        for word in WORD.findall(line):
-            where.setdefault(word, []).append(number)
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT or (
+                tok.type == tokenize.STRING and tok.start in docstrings):
+            continue
+        for number, line in enumerate(tok.string.splitlines(), tok.start[0]):
+            for word in WORD.findall(line):
+                where.setdefault(word, []).append(number)
     return where
 
 
@@ -109,3 +133,17 @@ def test_scan_reports_a_planted_test_only_helper():
     assert unused_names(demo, readme) == ([], [])
     del texts[Path("tests", "test_planted.py")]
     assert unused_names(texts, readme) == (["planted:planted_helper"], [])
+
+
+def test_scan_skips_prose_but_reads_strings():
+    # a name that another src file mentions only in its docstring and a
+    # comment is dead; one that perfbench reads from a string is used
+    texts, readme = tree_texts()
+    del texts[Path(__file__).resolve().relative_to(ROOT)]  # it names the helper too
+    texts[Path("src", "quiltlab", "planted.py")] = "def planted_helper():\n    return 1\n"
+    texts[Path("src", "quiltlab", "prose.py")] = (
+        '"""Mentions planted_helper."""\n\n\n'
+        'def planted_prose():\n    """And planted_helper."""\n    return 2  # planted_helper\n')
+    assert unused_names(texts, readme) == (["planted:planted_helper", "prose:planted_prose"], [])
+    texts[Path("perfbench", "planted_bench.py")] = 'TRACED = ("planted", "planted_helper")\n'
+    assert unused_names(texts, readme) == (["prose:planted_prose"], [])

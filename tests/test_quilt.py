@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -93,14 +94,11 @@ def test_validation_report_kept_on_the_template():
     assert fresh is not report and fresh == report and fresh.passed
 
 
-def test_canonical_labeling_kept_on_the_template(chain3_sub):
+def test_template_iso_of_an_equal_template_is_the_identity(chain3_sub):
     t = chain3_sub.template
-    label, key = qt._canonical(t)
-    assert qt._canonical(t)[0] is label and qt.template_key(t) is key
-    assert label == pm.canonical_labeling(t.map)
-    assert key == qt._labeled_key(t, label)
     copy = qt.Template(map=t.map, marks=t.marks, holes=t.holes)
     assert copy == t and repr(copy) == repr(t)
+    assert qt.template_key(copy) == qt.template_key(t)
     assert qt.template_iso(t, copy) == {d: d for d in range(t.map.n_darts)}
 
 
@@ -471,24 +469,30 @@ def _digest_fixture(name):
     return tsub, qe.enumerate_fillings(tsub, budgets)
 
 
-def _recorded_reductions(monkeypatch):
-    """Every template ``quilt_enum`` reduces from now on, with its reduction."""
+def _recorded_fillings(monkeypatch):
+    """(args, result) of every call of ``quilt_enum._filling`` from now on:
+    the search makes one per leaf, and the constructive product check one
+    per composed filling."""
     seen = []
-    reduce = qe.mark_subtemplate
+    make = qe._filling
 
-    def recording(t, faces):
-        seen.append(reduce(t, faces))
-        return seen[-1]
+    def recording(*args):
+        seen.append((args, make(*args)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(qe, "mark_subtemplate", recording)
+    monkeypatch.setattr(qe, "_filling", recording)
     return seen
 
 
-def _reference_view(tsub, filling):
-    """A filling's view rebuilt by reducing it again: dart paths, clusters
-    and the filling-vertex -> subtemplate-vertex map."""
-    red = qt.mark_subtemplate(filling.template, filling.marked)
+def _reference_view(tsub, template, marked):
+    """The view of ``tsub`` in ``template`` rebuilt from the definition,
+    ``mark_subtemplate`` and ``template_iso``: dart paths, clusters and the
+    filling-vertex -> subtemplate-vertex map.  None when the marked faces
+    reduce to another subtemplate; raises when they do not reduce."""
+    red = qt.mark_subtemplate(template, marked)
     iso = qt.template_iso(red.template, tsub.template)  # reduced -> tsub dart
+    if iso is None:
+        return None
     tmap = tsub.template.map
     from_tsub = {td: rd for rd, td in iso.items()}
     dart_paths = tuple(red.dart_expansion[from_tsub[d]] for d in range(tmap.n_darts))
@@ -503,10 +507,29 @@ def _reference_view(tsub, filling):
 
 
 def _assert_view_matches_reference(tsub, filling):
-    dart_paths, clusters, vertices = _reference_view(tsub, filling)
+    dart_paths, clusters, vertices = _reference_view(tsub, filling.template, filling.marked)
     assert filling.dart_paths == dart_paths
     assert filling.clusters == clusters
     assert filling.vertex_to_tsub(tsub) == vertices
+
+
+def _assert_outcome_matches_reference(tsub, template, marked):
+    """``_filling`` raises, returns None or makes a filling exactly as the
+    reference does, and the walk fails exactly when no filling is made;
+    returns the outcome: the error type, None or "view"."""
+    try:
+        want = _reference_view(tsub, template, marked)
+    except TemplateError as e:
+        with pytest.raises(type(e)):
+            qe._filling(tsub, template, marked)
+        assert qe._view(tsub, template, frozenset(marked)) is None
+        return type(e)
+    got = qe._filling(tsub, template, marked)
+    if want is None:
+        assert got is None and qe._view(tsub, template, frozenset(marked)) is None
+        return None
+    assert (got.dart_paths, got.clusters, got.vertex_to_tsub(tsub)) == want
+    return "view"
 
 
 @pytest.mark.parametrize("name", sorted(FILLING_DIGESTS))
@@ -571,9 +594,12 @@ def test_hole_key_reads_the_cluster_marks():
 
 
 def test_leaf_reductions_byte_identical(monkeypatch):
+    # the leaves of the search, in the order it closes them, each reduced by
+    # the definition
     tsub = build_subtemplate(*FIXTURES["chain"])
-    reductions = _recorded_reductions(monkeypatch)
+    leaves = _recorded_fillings(monkeypatch)
     qe.enumerate_fillings(tsub, (2, 2))
+    reductions = [qt.mark_subtemplate(template, marked) for (_, template, marked), _ in leaves]
     reprs = [repr((qt.template_key(r.template), r.hole_labels,
                    tuple(tuple(sorted(c)) for c in r.cluster_faces),
                    sorted(r.dart_expansion.items()))).encode() for r in reductions]
@@ -581,16 +607,14 @@ def test_leaf_reductions_byte_identical(monkeypatch):
         LEAF_REDUCTION_DIGEST)
 
 
-def test_reduced_map_is_build_map_of_its_arrays(monkeypatch):
+def test_reduced_map_is_build_map_of_its_arrays():
     # mark_subtemplate builds its map from arrays whose twins are already
     # 2k, 2k+1, skipping build_map's normalization, which is the identity there
     maps = [build_subtemplate(*FIXTURES[name]).template.map for name in sorted(FIXTURES)]
-    reductions = _recorded_reductions(monkeypatch)
     for name in sorted(FIXTURES):
         tsub = build_subtemplate(*FIXTURES[name])
-        fills = qe.enumerate_fillings(tsub, (2, 2))
-        qe.verify_product_bijection(tsub, (2, 2), constructive=False, fillings=fills)
-    maps += [r.template.map for r in reductions]
+        maps += [qt.mark_subtemplate(f.template, f.marked).template.map
+                 for f in qe.enumerate_fillings(tsub, (2, 2))]
     assert len(maps) > 3
     for m in maps:
         assert pm.build_map(m.next_dart, [d ^ 1 for d in range(m.n_darts)], m.root) == m
@@ -635,18 +659,162 @@ def test_composed_templates_byte_identical(monkeypatch):
 
 def test_composed_filling_view_matches_reduction(chain3_sub, monkeypatch):
     fills = qe.enumerate_fillings(chain3_sub, 2)
-    made = []
-    make = qe._filling
-
-    def recording(*args):
-        made.append(make(*args))
-        return made[-1]
-
-    monkeypatch.setattr(qe, "_filling", recording)
+    made = _recorded_fillings(monkeypatch)
     rep = qe.verify_product_bijection(chain3_sub, 2, fillings=fills)
     assert len(made) == rep.composed_checked == 50
-    for f in made:
+    for _, f in made:
         _assert_view_matches_reference(chain3_sub, f)
+
+
+@pytest.mark.parametrize("name,budgets", [
+    *((name, b) for name in ("chain", "wide", "two-pass") for b in ((2, 2), (4, 1), (2, 3))),
+    ("chain", (1, 5)),
+], ids=str)
+def test_walk_view_matches_reduction_on_every_leaf(name, budgets, monkeypatch):
+    tsub = build_subtemplate(*FIXTURES[name])
+    leaves = _recorded_fillings(monkeypatch)
+    fills = qe.enumerate_fillings(tsub, budgets)
+    assert len(leaves) == len(fills)
+    for _, f in leaves:
+        _assert_view_matches_reference(tsub, f)
+
+
+def test_walk_view_matches_reduction_on_every_composed_filling(monkeypatch):
+    for name in ("chain", "wide", "two-pass"):
+        _digest_fixture(name)  # enumerated first: only composed fillings are recorded
+    made = _recorded_fillings(monkeypatch)
+    assert len(_recorded_compositions(monkeypatch)) == COMPOSE_DIGEST[0] == len(made)
+    for (tsub, _, _), f in made:
+        _assert_view_matches_reference(tsub, f)
+
+
+def test_walk_outcome_matches_reduction_on_other_marked_sets():
+    # random face sets of the chain leaves, each against the leaf's own
+    # subtemplate and against its own reduction, with every outcome met:
+    # no reduction (a disconnected set, a template with holes), another
+    # subtemplate, and a view.  The reduction's "not a disk" is never met:
+    # each cluster is one face of the plane graph of the kept edges, which
+    # is connected once the marked set is.
+    tsub, fills = _digest_fixture("chain")
+    rnd = random.Random(0)
+    outcomes = Counter()
+    for f in fills[::5]:
+        faces = sorted(f.template.marks)
+        for g in faces:  # one face more or less than the leaf's
+            outcomes[_assert_outcome_matches_reference(tsub, f.template, f.marked ^ {g})] += 1
+        for _ in range(30):
+            marked = frozenset(rnd.sample(faces, rnd.randint(1, len(faces))))
+            outcomes[_assert_outcome_matches_reference(tsub, f.template, marked)] += 1
+            try:
+                red = qt.mark_subtemplate(f.template, marked)
+            except TemplateError:
+                continue
+            outcomes["own " + str(_assert_outcome_matches_reference(
+                red, f.template, marked))] += 1
+    # a template with holes does not reduce either
+    outcomes[_assert_outcome_matches_reference(tsub, tsub.template, tsub.template.marks)] += 1
+    assert set(outcomes) == {DisconnectedSelection, TemplateError, None, "view", "own view"}
+
+
+def test_walk_outcome_matches_reduction_across_fixtures():
+    # the leaves of each fixture against the other fixtures' subtemplates
+    outcomes = Counter()
+    for name, other in itertools.permutations(("chain", "wide", "two-pass"), 2):
+        tsub = build_subtemplate(*FIXTURES[other])
+        for f in _digest_fixture(name)[1]:
+            outcomes[_assert_outcome_matches_reference(tsub, f.template, f.marked)] += 1
+    assert set(outcomes) == {None}
+
+
+def test_walk_matches_the_marks():
+    # rotating the marks of a marked face keeps the map, and the reduction
+    # then has other marks
+    tsub, fills = _digest_fixture("chain")
+    outcomes = Counter()
+    for f in fills[::5]:
+        for g in f.marked:
+            marks = dict(f.template.marks)
+            marks[g] = marks[g][1:] + marks[g][:1]
+            template = dataclasses.replace(f.template, marks=marks)
+            outcomes[_assert_outcome_matches_reference(tsub, template, f.marked)] += 1
+    assert outcomes[None] and outcomes["view"]  # a 1-gon's marks rotate to themselves
+
+
+def test_walk_keeps_an_unmarked_vertex_between_two_marked_faces():
+    # mark_subtemplate keeps a vertex at the corners of two marked faces even
+    # when neither marks it: drop the marks at each degree-2 vertex
+    met = 0
+    for f in _digest_fixture("chain")[1][::5]:
+        m = f.template.map
+        for v, cyc in enumerate(m.vertex_cycles):
+            marks = {g: tuple(u for u in mk if u != v) or mk
+                     for g, mk in f.template.marks.items()}
+            if len(cyc) != 2 or any(v in mk for mk in marks.values()):
+                continue
+            template = qt.Template(map=m, marks=marks)
+            red = qt.mark_subtemplate(template, set(marks))
+            assert _assert_outcome_matches_reference(red, template, set(marks)) == "view"
+            met += 1
+    assert met
+
+
+def _rerooted(m, root):
+    return pm.build_map(m.next_dart, [d ^ 1 for d in range(m.n_darts)], root)
+
+
+def _polygon_template(k, marks, root=0):
+    return qt.Template(map=_rerooted(polygon_map(k), root), marks=marks)
+
+
+def test_walk_matches_marked_faces_to_marked_faces():
+    # a triangle with one face marked reduces to a 2-cycle and a hole; with
+    # the other face marked, to the same rooted map with the roles swapped
+    outcomes = Counter()
+    marks = {0: (0, 1), 1: (1, 0)}
+    for root, other in itertools.product(range(6), repeat=2):
+        template = _polygon_template(3, marks, root)
+        tsub = qt.mark_subtemplate(_polygon_template(3, marks, other), [1])
+        outcomes[_assert_outcome_matches_reference(tsub, template, [0])] += 1
+        outcomes[_assert_outcome_matches_reference(tsub, template, [1])] += 1
+    assert outcomes[None] and outcomes["view"]
+
+
+def test_walk_rejects_a_subtemplate_that_wraps_twice():
+    # the 6-cycle maps onto the 3-cycle commuting with next and twin, each
+    # face wrapping twice; no isomorphism reaches a dart twice
+    template = _polygon_template(3, {0: (0,), 1: (0,)})
+    outcomes = Counter()
+    for u, w in itertools.product(range(6), repeat=2):
+        tsub = qt.mark_subtemplate(_polygon_template(6, {0: (u,), 1: (w,)}), [0, 1])
+        outcomes[_assert_outcome_matches_reference(tsub, template, [0, 1])] += 1
+    assert set(outcomes) == {None}
+
+
+def test_walk_roots_at_the_smallest_surviving_dart():
+    # mark_subtemplate roots its reduction at the template's root only when
+    # that dart survives, else at the smallest surviving dart; the walk
+    # starts where it does.  Each leaf is re-rooted at every dart, so the
+    # root is dropped (no marked face on its edge) or smoothed away.
+    rnd = random.Random(1)
+    rootless = Counter()
+    for f in _digest_fixture("wide")[1][::7]:
+        m = f.template.map
+        faces = sorted(f.template.marks)
+        marked = frozenset(rnd.sample(faces, len(faces) // 2))
+        for root in range(m.n_darts):
+            template = dataclasses.replace(f.template, map=_rerooted(m, root))
+            try:
+                red = qt.mark_subtemplate(template, marked)
+            except TemplateError:
+                break
+            start = red.dart_expansion[red.template.map.root][0]
+            if start != root:
+                assert start == min(path[0] for path in red.dart_expansion.values())
+                kept = m.face_of[root] in marked or m.face_of[root ^ 1] in marked
+                rootless["smoothed" if kept else "dropped"] += 1
+            assert _assert_outcome_matches_reference(red, template, marked) == "view"
+            _assert_outcome_matches_reference(red, f.template, marked)
+    assert rootless["dropped"] and rootless["smoothed"]
 
 
 def test_search_counters_account_for_every_leaf(chain3_sub):
